@@ -11,7 +11,10 @@
 #      unbatched) plus a bounded seed sweep of the chaos harness. A failing
 #      seed prints a self-contained report; replay it locally with
 #        ./build/tools/carousel_chaos --seed=<N>
-#   3. Sanitizer leg: ASan + UBSan build in a separate tree, full ctest.
+#   3. Sanitizer leg: ASan + UBSan build in a separate tree, full ctest,
+#      then the TCP transport and threaded-runtime suites again on repeat
+#      so a rare receive-path memory error or a reconnect-path crash
+#      fails the leg instead of one local run in several.
 #   4. Bench leg: smoke-scale Figure-5 throughput sweep (batched and
 #      unbatched configs) plus the core microbenchmarks; writes BENCH_*.json
 #      into $BENCH_JSON_DIR and gates the simulated-throughput metrics
@@ -26,7 +29,8 @@
 #      threaded-runtime suite (`-L threaded`: the epoll transport unit
 #      tests, the threaded-runtime smoke tests, and the rt_chaos
 #      fault-injection tests) — the real-thread backend of the runtime
-#      seam under the race detector. Skipped when SKIP_TSAN=1 or the
+#      seam under the race detector, then the same repeated transport and
+#      threaded-runtime runs as leg 3. Skipped when SKIP_TSAN=1 or the
 #      toolchain cannot link -fsanitize=thread.
 #   7. Real-time chaos leg: a bounded seed sweep of carousel_rt_chaos
 #      (kill + WAL restart, partitions, link faults on real threads),
@@ -94,6 +98,16 @@ build_main() {
   cmake --build build -j "$JOBS"
 }
 
+# Reruns the socket-level suites of a sanitizer tree back to back: their
+# failures are interleaving-dependent, so one pass proves little. The
+# threaded-runtime suite gets 3 passes, not 20: each idles ~60 s in its
+# smoke tests' settle phase (see ROADMAP).
+repeat_net_suites() {
+  local tree="$1"
+  "$tree/tests/net_transport_test" --gtest_repeat=20 --gtest_brief=1
+  "$tree/tests/runtime_threaded_test" --gtest_repeat=3 --gtest_brief=1
+}
+
 leg0() {
   echo "== leg 0: runtime-seam check =="
   # The protocol stack must stay simulator-agnostic: the only sim/ header
@@ -125,6 +139,7 @@ leg3() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+  repeat_net_suites build-asan
 }
 
 leg4() {
@@ -176,6 +191,7 @@ leg6() {
           --target runtime_threaded_test net_transport_test wire_test \
                    rt_chaos_test storage_test
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L threaded
+    repeat_net_suites build-tsan
   fi
 }
 

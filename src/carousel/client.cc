@@ -37,7 +37,6 @@ void CarouselClient::ReadAndPrepare(const TxnId& tid, KeyList reads,
   txn.tid = tid;
   txn.read_cb = std::move(callback);
   txn.read_only = writes.empty();
-  txn.read_started_at = now();
   // Only the issuing client opens the trace; every later observer merely
   // stamps into it.
   if (traces_) traces_->Begin(tid, now(), txn.read_only);
@@ -175,7 +174,6 @@ void CarouselClient::Commit(const TxnId& tid, CommitCallback callback) {
     return;
   }
   txn.commit_sent = true;
-  txn.commit_started_at = now();
   if (traces_) {
     traces_->RecordPhase(tid, TxnPhase::kCommitStart, now());
   }
@@ -294,9 +292,6 @@ void CarouselClient::HandleMessage(NodeId from, const sim::MessagePtr& msg) {
 void CarouselClient::MaybeFinishReads(ActiveTxn& txn) {
   if (txn.reads_done || !txn.awaiting_data.empty()) return;
   txn.reads_done = true;
-  if (!txn.read_only) {
-    read_phase_.Record(now() - txn.read_started_at);
-  }
   const TxnId tid = txn.tid;
   if (history_) history_->ObserveReads(tid, txn.results);
   if (traces_) {
@@ -341,9 +336,6 @@ void CarouselClient::FinishCommit(const TxnId& tid, bool committed,
                                   const std::string& reason) {
   auto it = txns_.find(tid);
   if (it == txns_.end()) return;
-  if (committed && it->second.commit_started_at > 0) {
-    commit_phase_.Record(now() - it->second.commit_started_at);
-  }
   // The Commit phase ends now, when the client sees the outcome (the
   // coordinator recorded the outcome itself when it decided).
   if (traces_) {

@@ -11,7 +11,6 @@
 #include "carousel/messages.h"
 #include "carousel/options.h"
 #include "check/history.h"
-#include "common/histogram.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -85,14 +84,6 @@ class CarouselClient : public runtime::Endpoint {
   /// partition (Remote-Partition Transactions); for experiment reporting.
   uint64_t rpt_count() const { return rpt_count_; }
 
-  /// Phase latency breakdown over committed read-write transactions:
-  /// Read phase (ReadAndPrepare -> read callback) and Commit phase
-  /// (Commit -> response). The concurrent Prepare phase has no
-  /// client-visible end; its latency is what the commit phase absorbs
-  /// when it exceeds Read + Commit (paper Fig. 2).
-  const Histogram& read_phase_latency() const { return read_phase_; }
-  const Histogram& commit_phase_latency() const { return commit_phase_; }
-
   // runtime::Endpoint interface.
   void HandleMessage(NodeId from, const sim::MessagePtr& msg) override;
 
@@ -123,8 +114,6 @@ class CarouselClient : public runtime::Endpoint {
     uint64_t hb_gen = 0;
     uint64_t retry_gen = 0;
     int retries = 0;
-    SimTime read_started_at = 0;
-    SimTime commit_started_at = 0;
   };
 
   void SendReadPrepares(ActiveTxn& txn, bool retry);
@@ -143,8 +132,6 @@ class CarouselClient : public runtime::Endpoint {
   uint64_t next_counter_ = 0;
   std::unordered_map<TxnId, ActiveTxn, TxnIdHash> txns_;
   uint64_t rpt_count_ = 0;
-  Histogram read_phase_;
-  Histogram commit_phase_;
   obs::WanrtLedger* wanrt_ = nullptr;
   // Metrics (null handles until set_metrics with an enabled registry).
   obs::Counter m_started_;

@@ -197,7 +197,7 @@ void Recovery::OnStepDown(uint64_t term) {
   (void)term;
   // Abandon any in-progress recovery; a follower serves (fast-path
   // prepares, reads) normally.
-  serving_ = true;
+  OpenGate();
   recovery_outstanding_ = 0;
   recovery_tids_.clear();
   DrainBuffered();
@@ -211,8 +211,14 @@ void Recovery::OnPrepareApplied(const TxnId& tid) {
 
 void Recovery::FinishRecoveryIfReady() {
   if (serving_ || recovery_outstanding_ > 0) return;
-  serving_ = true;
+  OpenGate();
   DrainBuffered();
+}
+
+void Recovery::OpenGate() {
+  if (serving_) return;
+  serving_ = true;
+  if (on_serving_) on_serving_();
 }
 
 void Recovery::DrainBuffered() {

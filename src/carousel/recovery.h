@@ -52,9 +52,15 @@ class Recovery {
 
   /// Host crash-recover: a restarted node serves immediately (it rejoins
   /// as a follower; leader recovery re-runs on election).
-  void OnHostRecover() { serving_ = true; }
+  void OnHostRecover() { OpenGate(); }
 
   bool serving() const { return serving_; }
+  /// Called on this server's loop each time the serving gate opens (a
+  /// new leader finished §4.3.3, stepped down, or the host recovered), so
+  /// a harness can wait for readiness without polling.
+  void set_on_serving(std::function<void()> fn) {
+    on_serving_ = std::move(fn);
+  }
   size_t buffered_count() const { return buffered_.size(); }
 
  private:
@@ -62,11 +68,13 @@ class Recovery {
   void OnPrepareApplied(const TxnId& tid);
   void FinishRecoveryIfReady();
   void DrainBuffered();
+  void OpenGate();
 
   ServerContext* ctx_;
   Participant* participant_;
   Coordinator* coordinator_;
   std::function<void(NodeId, const sim::MessagePtr&)> redeliver_;
+  std::function<void()> on_serving_;
 
   /// False from election until §4.3.3 completes; requests buffer below.
   bool serving_ = true;

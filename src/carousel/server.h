@@ -1,7 +1,9 @@
 #ifndef CAROUSEL_CAROUSEL_SERVER_H_
 #define CAROUSEL_CAROUSEL_SERVER_H_
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "carousel/coordinator.h"
@@ -74,6 +76,11 @@ class CarouselServer : public runtime::Endpoint {
   /// False while a newly elected leader is still running the CPC
   /// failure-handling protocol (requests are buffered).
   bool serving() const { return recovery_->serving(); }
+  /// Serving-gate hook (see Recovery::set_on_serving); runs on this
+  /// server's loop.
+  void set_on_serving(std::function<void()> fn) {
+    recovery_->set_on_serving(std::move(fn));
+  }
   /// Number of transactions this node committed (applied writes for).
   uint64_t committed_count() const { return participant_->committed_count(); }
 

@@ -1,8 +1,6 @@
 #include "harness/rt_cluster.h"
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "wire/wire.h"
@@ -47,6 +45,7 @@ RtCluster::RtCluster(Topology topology, core::CarouselOptions options,
           info, directory_.get(), rt_->MakeEnv(info.id, rng_.Fork(), storage),
           options_, /*traces=*/nullptr, &metrics_);
       rt_->Register(server.get());
+      server->set_on_serving([this]() { NotifyReadiness(); });
       servers_.emplace(info.id, std::move(server));
     }
   }
@@ -125,6 +124,7 @@ bool RtCluster::RestartServer(NodeId id) {
     server->set_history(history_);
     server->mutable_store().EnableWriterLog();
   }
+  server->set_on_serving([this]() { NotifyReadiness(); });
   core::CarouselServer* s = server.get();
   rt_->RestartNode(s);  // Relaunches the loop bound to the new object.
   rt_->loop(id)->Post([s]() { s->Start(); });  // Recovers, then serves.
@@ -155,38 +155,55 @@ size_t RtCluster::recovered_pending() const {
   return recovered_pending_;
 }
 
+void RtCluster::NotifyReadiness() {
+  std::lock_guard<std::mutex> lk(ready_mu_);
+  readiness_events_++;
+  ready_cv_.notify_all();
+}
+
 bool RtCluster::WaitUntilServing(int timeout_ms) {
   // Probe serving() on each server's own loop thread; the probe state is
   // shared_ptr-owned so a timed-out waiter can leave while late probes
-  // still complete.
+  // still complete. A probe that finds a closed gate needs no retry
+  // timer: the gate's opening is itself a readiness event, and the event
+  // count is read before the probes go out, so none is missed.
+  struct Probe {
+    size_t done = 0;
+    size_t serving = 0;
+  };
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
+  for (;;) {
+    uint64_t seen;
+    {
+      std::lock_guard<std::mutex> lk(ready_mu_);
+      seen = readiness_events_;
+    }
     std::vector<std::pair<NodeId, core::CarouselServer*>> live;
     {
       std::lock_guard<std::mutex> lk(lifecycle_mu_);
       for (auto& [id, server] : servers_) live.emplace_back(id, server.get());
     }
-    const size_t n = live.size();
-    struct Probe {
-      std::atomic<size_t> done{0};
-      std::atomic<size_t> serving{0};
-    };
     auto probe = std::make_shared<Probe>();
     for (auto& [id, s] : live) {
-      rt_->loop(id)->Post([probe, s]() {
-        if (s->serving()) probe->serving.fetch_add(1);
-        probe->done.fetch_add(1);
+      rt_->loop(id)->Post([this, probe, s]() {
+        const bool serving = s->serving();
+        std::lock_guard<std::mutex> lk(ready_mu_);
+        probe->done++;
+        if (serving) probe->serving++;
+        ready_cv_.notify_all();
       });
     }
-    while (probe->done.load() < n &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t n = live.size();
+    std::unique_lock<std::mutex> lk(ready_mu_);
+    const auto changed = [&]() { return readiness_events_ != seen; };
+    if (!ready_cv_.wait_until(
+            lk, deadline, [&]() { return probe->done == n || changed(); })) {
+      return false;
     }
-    if (probe->done.load() == n && probe->serving.load() == n) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (probe->done == n && probe->serving == n) return true;
+    if (!ready_cv_.wait_until(lk, deadline, changed)) return false;
   }
-  return false;
 }
 
 }  // namespace carousel::harness

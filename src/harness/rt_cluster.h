@@ -1,6 +1,7 @@
 #ifndef CAROUSEL_HARNESS_RT_CLUSTER_H_
 #define CAROUSEL_HARNESS_RT_CLUSTER_H_
 
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -131,11 +132,17 @@ class RtCluster {
 
   /// Blocks until every live server reports serving (leader known for its
   /// partition) or the timeout passes. Called by Start; also useful after
-  /// a fault schedule heals, before extracting state.
+  /// a fault schedule heals, before extracting state. Event-driven: it
+  /// probes each server on its own loop, then sleeps until a serving gate
+  /// opens, and probes again. Not for use while a concurrent KillServer or
+  /// RestartServer may stop a probed loop.
   bool WaitUntilServing(int timeout_ms);
 
  private:
   std::string StorageDirFor(NodeId id) const;
+  /// Records a readiness event (a serving gate opened) and wakes every
+  /// waiter.
+  void NotifyReadiness();
 
   Topology topology_;
   core::CarouselOptions options_;
@@ -158,6 +165,11 @@ class RtCluster {
   std::vector<std::unique_ptr<core::CarouselClient>> clients_;
   std::vector<core::CarouselClient*> client_ptrs_;
   bool started_ = false;
+  /// Readiness events and WaitUntilServing's probe answers, guarded by
+  /// ready_mu_; never held while taking lifecycle_mu_.
+  std::mutex ready_mu_;
+  std::condition_variable ready_cv_;
+  uint64_t readiness_events_ = 0;
 };
 
 }  // namespace carousel::harness

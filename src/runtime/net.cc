@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 namespace carousel::runtime {
@@ -157,6 +158,15 @@ void NetPoller::FreeEntry(uint64_t id) {
   deferred_free_.push_back(id);
 }
 
+uint8_t* NetPoller::RxArena(size_t bytes) {
+  assert(InIoContext());
+  if (rx_arena_bytes_ < bytes) {
+    rx_arena_ = std::make_unique_for_overwrite<uint8_t[]>(bytes);
+    rx_arena_bytes_ = bytes;
+  }
+  return rx_arena_.get();
+}
+
 void NetPoller::AttachNet(NodeNet* net) { nets_.push_back(net); }
 
 void NetPoller::DetachNet(NodeNet* net) {
@@ -229,15 +239,16 @@ void NetPoller::IoLoop() {
           break;
       }
     }
-    RunTasks();
-    if (stop_.load(std::memory_order_acquire)) return;
     // End of pass: hand each net's decoded inbound to its owner loop in
-    // one bulk enqueue (one lock, one wakeup), then gather egress. Clear
-    // the wakeup flag BEFORE draining: a sender that enqueues after this
-    // store either lands in the drain below or sees the flag false and
-    // writes the eventfd, so no frame is ever stranded.
+    // one bulk enqueue (one lock, one wakeup), then run RunSync tasks and
+    // gather egress. Clear the wakeup flag BEFORE both: a task or a frame
+    // enqueued after this store either lands in this pass or sees the
+    // flag false and writes the eventfd, so nothing is ever stranded
+    // behind the next epoll_wait.
     for (NodeNet* net : nets_) net->FlushInbound();
     wake_pending_.store(false, std::memory_order_release);
+    RunTasks();
+    if (stop_.load(std::memory_order_acquire)) return;
     for (NodeNet* net : nets_) net->DrainEgress();
   }
 }
@@ -342,7 +353,7 @@ void NodeNet::CloseAll() {
     }
     c.fd = -1;
     c.entry = 0;
-    c.buf.clear();
+    HoldInbound(c, 0, nullptr, 0);
   }
   in_.clear();
   if (listen_fd_ >= 0) {
@@ -623,9 +634,6 @@ void NodeNet::AcceptNew() {
     if (slot == in_.size()) in_.emplace_back();
     InConn& c = in_[slot];
     c.fd = fd;
-    c.buf.clear();
-    c.pos = 0;
-    c.len = 0;
     c.entry = poller_->AddEntry(NetPoller::kIn, this, static_cast<uint32_t>(slot));
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP;
@@ -640,65 +648,105 @@ void NodeNet::OnReadable(size_t slot) {
   assert(poller_->InIoContext() &&
          "socket reads run only on the net I/O thread, never a loop thread");
   InConn& c = in_[slot];
+  const size_t cap = std::max(options_.read_chunk, kFrameHeaderBytes);
+  uint8_t* const arena = poller_->RxArena(cap);
+  // Unparsed bytes at the front of the arena: the carry from the last
+  // readable event first, then each recv's partial tail. A carry is
+  // always shorter than read_chunk, so the recv below has room.
+  size_t have = 0;
+  if (c.size > 0 && c.size <= cap) {
+    have = c.len;
+    std::memcpy(arena, c.buf.get(), have);
+    HoldInbound(c, 0, nullptr, 0);
+  }
   for (;;) {
-    // Make at least read_chunk bytes of tail room: compact the consumed
-    // prefix first, grow the buffer only as a last resort. The grow is the
-    // sole (one-time) memset; steady state reuses the same allocation.
-    if (c.buf.size() - c.len < options_.read_chunk) {
-      if (c.pos > 0) {
-        std::memmove(c.buf.data(), c.buf.data() + c.pos, c.len - c.pos);
-        c.len -= c.pos;
-        c.pos = 0;
-      }
-      if (c.buf.size() - c.len < options_.read_chunk) {
-        c.buf.resize(c.len + options_.read_chunk);
-      }
-    }
-    const size_t room = c.buf.size() - c.len;
-    const ssize_t n = ::recv(c.fd, c.buf.data() + c.len, room, 0);
+    // A frame longer than the arena reads straight into its own buffer,
+    // exactly up to its end; the bytes after it go through the arena.
+    const bool large = c.size > cap;
+    uint8_t* const dst = large ? c.buf.get() + c.len : arena + have;
+    const size_t room = large ? c.size - c.len : cap - have;
+    const ssize_t n = ::recv(c.fd, dst, room, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       CloseIn(slot);
       return;
     }
-    if (n == 0) {  // Peer closed; the buffered tail can hold no full frame.
+    if (n == 0) {  // Peer closed; what is held can be no full frame.
       CloseIn(slot);
       return;
     }
-    c.len += static_cast<size_t>(n);
-    // Parse complete frames: [u32 len][u32 type][u32 from][payload].
-    uint64_t received = 0;
-    while (c.len - c.pos >= kFrameHeaderBytes) {
-      const uint8_t* p = c.buf.data() + c.pos;
-      const uint32_t len = GetU32(p);
-      if (len < 8 || len > options_.max_frame_bytes) {
-        if (received > 0) {
-          stats_.frames_received.fetch_add(received, std::memory_order_relaxed);
-        }
+    if (large) {
+      c.len += static_cast<size_t>(n);
+      if (c.len == c.size) {
+        ParseFrames(c.buf.get(), c.size);  // Exactly one frame.
+        HoldInbound(c, 0, nullptr, 0);
+      }
+    } else {
+      have += static_cast<size_t>(n);
+      const size_t used = ParseFrames(arena, have);
+      if (used == SIZE_MAX) {
         CloseIn(slot);  // Malformed stream; the peer reconnects fresh.
         return;
       }
-      if (c.len - c.pos < 4 + static_cast<size_t>(len)) break;
-      const uint32_t type = GetU32(p + 4);
-      const NodeId from = static_cast<NodeId>(GetU32(p + 8));
-      MessagePtr msg = codec_.decode(static_cast<int>(type), p + 12, len - 8);
-      if (msg == nullptr || static_cast<size_t>(from) >= out_.size()) {
-        stats_.drops_decode_fail.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++received;
-        rx_batch_.emplace_back(from, std::move(msg));
+      have -= used;
+      // ParseFrames validated the tail's header once it is whole; a frame
+      // the arena cannot hold moves to its own buffer.
+      const size_t frame = have >= kFrameHeaderBytes
+                               ? 4 + static_cast<size_t>(GetU32(arena + used))
+                               : 0;
+      if (frame > cap) {
+        HoldInbound(c, frame, arena + used, have);
+        have = 0;
+      } else if (have > 0 && used > 0) {
+        std::memmove(arena, arena + used, have);
       }
-      c.pos += 4 + static_cast<size_t>(len);
-    }
-    if (received > 0) {
-      stats_.frames_received.fetch_add(received, std::memory_order_relaxed);
-    }
-    if (c.pos == c.len) {  // Fully parsed; reuse the buffer from the top.
-      c.pos = 0;
-      c.len = 0;
     }
     if (static_cast<size_t>(n) < room) break;  // Drained.
+  }
+  if (have > 0) HoldInbound(c, have, arena, have);  // Carry the tail.
+}
+
+size_t NodeNet::ParseFrames(const uint8_t* data, size_t n) {
+  // Frames: [u32 len][u32 type][u32 from][payload].
+  size_t pos = 0;
+  uint64_t received = 0;
+  while (n - pos >= kFrameHeaderBytes) {
+    const uint8_t* p = data + pos;
+    const uint32_t len = GetU32(p);
+    if (len < 8 || len > options_.max_frame_bytes) {
+      pos = SIZE_MAX;
+      break;
+    }
+    if (n - pos < 4 + static_cast<size_t>(len)) break;
+    const uint32_t type = GetU32(p + 4);
+    const NodeId from = static_cast<NodeId>(GetU32(p + 8));
+    MessagePtr msg = codec_.decode(static_cast<int>(type), p + 12, len - 8);
+    if (msg == nullptr || static_cast<size_t>(from) >= out_.size()) {
+      stats_.drops_decode_fail.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      ++received;
+      rx_batch_.emplace_back(from, std::move(msg));
+    }
+    pos += 4 + static_cast<size_t>(len);
+  }
+  if (received > 0) {
+    stats_.frames_received.fetch_add(received, std::memory_order_relaxed);
+  }
+  return pos;
+}
+
+void NodeNet::HoldInbound(InConn& c, size_t size, const uint8_t* data,
+                          size_t len) {
+  if (c.size > 0) {
+    stats_.inbound_buffer_bytes.fetch_sub(c.size, std::memory_order_relaxed);
+  }
+  c.buf = size == 0 ? nullptr : std::make_unique_for_overwrite<uint8_t[]>(size);
+  if (len > 0) std::memcpy(c.buf.get(), data, len);
+  c.size = size;
+  c.len = len;
+  if (size > 0) {
+    stats_.inbound_buffer_bytes.fetch_add(size, std::memory_order_relaxed);
   }
 }
 
@@ -711,10 +759,7 @@ void NodeNet::CloseIn(size_t slot) {
   }
   c.fd = -1;
   c.entry = 0;
-  c.buf.clear();
-  c.buf.shrink_to_fit();
-  c.pos = 0;
-  c.len = 0;
+  HoldInbound(c, 0, nullptr, 0);
 }
 
 }  // namespace carousel::runtime

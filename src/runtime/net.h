@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,7 +42,9 @@ struct NetOptions {
   size_t max_frame_bytes = 64u << 20;
   /// How many frames one sendmsg() gathers at most (the coalescing cap).
   size_t max_frames_per_batch = 64;
-  /// Inbound read chunk per recv() call.
+  /// Bytes of the poller's receive arena one recv() may fill. Frames up
+  /// to this size are parsed in place from the arena; a larger frame is
+  /// assembled in its connection's own buffer.
   size_t read_chunk = 128 * 1024;
   /// Encode buffers kept for reuse (per node). Buffers whose capacity
   /// outgrew max_pooled_buffer_bytes are freed instead of pooled.
@@ -56,7 +59,10 @@ struct NetOptions {
 
 /// Hot-path counters of one node's TCP endpoint. Writers use relaxed
 /// atomics; readers (stats reporting, CI gates) take whole-counter
-/// snapshots. The drops_* counters split transport drops by reason:
+/// snapshots. inbound_buffer_bytes is a gauge, not a counter: bytes held
+/// by inbound connections between readable events (partial-frame carries
+/// and large frames being assembled); zero when every stream sits on a
+/// frame boundary. The drops_* counters split transport drops by reason:
 ///   queue_full    — egress queue at max_egress_frames (backpressure)
 ///   connect_fail  — connect refused/failed, or an established connection
 ///                   broke with frames still queued (they die with it)
@@ -73,6 +79,7 @@ struct NetStats {
   std::atomic<uint64_t> drops_queue_full{0};
   std::atomic<uint64_t> drops_connect_fail{0};
   std::atomic<uint64_t> drops_decode_fail{0};
+  std::atomic<uint64_t> inbound_buffer_bytes{0};
 };
 
 /// Plain snapshot of NetStats, summable across nodes. The coalescing
@@ -184,6 +191,11 @@ class NetPoller {
   void IoLoop();
   void RunTasks();
 
+  /// The receive arena, at least `bytes` long. I/O-thread-only; its
+  /// contents never outlive one OnReadable call, so growing it (when nets
+  /// with different read_chunk share the poller) copies nothing.
+  uint8_t* RxArena(size_t bytes);
+
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
 
@@ -211,6 +223,11 @@ class NetPoller {
   std::vector<EvEntry> entries_;
   std::vector<uint64_t> free_entries_;
   std::vector<uint64_t> deferred_free_;  // Recycled at the next loop top.
+  /// One receive buffer for every inbound connection of every net on
+  /// this poller: every recv() runs on the I/O thread, one at a time.
+  /// Allocated on first use and never value-initialized.
+  std::unique_ptr<uint8_t[]> rx_arena_;
+  size_t rx_arena_bytes_ = 0;
 };
 
 /// One node's TCP endpoint: a loopback listener plus all of the node's
@@ -310,12 +327,15 @@ class NodeNet {
   struct InConn {
     int fd = -1;
     uint64_t entry = 0;
-    /// Capacity-managed read buffer: valid bytes are [pos, len); the
-    /// vector is resized only when it grows, so recv() never pays a
-    /// value-initializing memset of the read chunk.
-    std::vector<uint8_t> buf;
-    size_t pos = 0;  // Parse cursor.
-    size_t len = 0;  // Bytes received and not yet consumed past.
+    /// Bytes of an unfinished frame, held between readable events. Two
+    /// uses: a carry (size <= read_chunk) is the stream's partial tail,
+    /// put back in front of the next recv in the arena; a frame longer
+    /// than read_chunk is assembled here in full (size = the frame) and
+    /// freed once delivered. Null on a frame boundary; never
+    /// value-initialized.
+    std::unique_ptr<uint8_t[]> buf;
+    size_t size = 0;  // Allocated bytes of buf.
+    size_t len = 0;   // Bytes of buf received so far.
   };
 
   /// All I/O-thread-only.
@@ -327,6 +347,13 @@ class NodeNet {
   void CloseOut(NodeId peer, bool count_drops);
   void AcceptNew();
   void OnReadable(size_t slot);
+  /// Parses the complete frames in [data, data + n) into rx_batch_ and
+  /// returns how many bytes they span; SIZE_MAX when a frame header is
+  /// malformed (the caller closes the connection).
+  size_t ParseFrames(const uint8_t* data, size_t n);
+  /// Replaces c's held buffer with a fresh `size`-byte one holding
+  /// [data, data + len), or frees it when size == 0.
+  void HoldInbound(InConn& c, size_t size, const uint8_t* data, size_t len);
   void CloseIn(size_t slot);
   void UpdateOutEvents(NodeId peer, bool want_write);
   void CloseAll();

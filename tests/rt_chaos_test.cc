@@ -258,6 +258,56 @@ TEST(RtChaosTest, KilledReplicaRecoversFromWalAndRejoins) {
   EXPECT_GE(result.committed, 100);
 }
 
+// Probes serving() on each live server's own loop thread and returns how
+// many report it.
+size_t ServingOnOwnLoops(harness::RtCluster& cluster) {
+  std::vector<core::CarouselServer*> servers;
+  for (const NodeInfo& info : cluster.topology().nodes()) {
+    if (!info.is_client && cluster.server_alive(info.id)) {
+      servers.push_back(cluster.server(info.id));
+    }
+  }
+  auto done = std::make_shared<std::atomic<size_t>>(0);
+  auto serving = std::make_shared<std::atomic<size_t>>(0);
+  for (core::CarouselServer* s : servers) {
+    cluster.RunOnServer(s->id(), [s, done, serving]() {
+      if (s->serving()) serving->fetch_add(1);
+      done->fetch_add(1);
+    });
+  }
+  EXPECT_TRUE(PollUntil([&] { return done->load() == servers.size(); },
+                        std::chrono::seconds(30)));
+  return serving->load();
+}
+
+TEST(RtChaosTest, EveryServerServesOnItsLoopOnceStartOrRestartIsReady) {
+  Topology topo = Topology::Uniform(/*num_dcs=*/3, /*inter_dc_rtt_ms=*/1);
+  topo.PlacePartitions(/*partitions=*/2, /*replication_factor=*/3);
+  topo.AddClient(/*dc=*/0);
+  harness::RtClusterOptions rt_options;
+  rt_options.seed = 3;
+  rt_options.storage_dir = FreshStorageRoot("ready");
+  harness::RtCluster cluster(std::move(topo), FastCpcOptions(), rt_options);
+  const size_t num_servers = cluster.topology().nodes().size() - 1;
+
+  // Start returns on the last serving-gate notification, not after a
+  // polling interval; at that point every gate is open on its own loop.
+  ASSERT_TRUE(cluster.Start(/*timeout_ms=*/20000));
+  EXPECT_EQ(ServingOnOwnLoops(cluster), num_servers);
+
+  // The same after a kill and a WAL restart: the restart is a readiness
+  // event, so the wait re-probes the rebuilt server instead of sleeping.
+  NodeId victim = kInvalidNode;
+  for (NodeId id : cluster.topology().Replicas(1)) {
+    if (cluster.topology().node(id).replica_index == 1) victim = id;
+  }
+  ASSERT_TRUE(cluster.KillServer(victim));
+  ASSERT_TRUE(cluster.RestartServer(victim));
+  ASSERT_TRUE(cluster.WaitUntilServing(/*timeout_ms=*/20000));
+  EXPECT_EQ(ServingOnOwnLoops(cluster), num_servers);
+  cluster.Stop();
+}
+
 TEST(RtChaosTest, KillRequiresConfiguredStorage) {
   Topology topo = Topology::Uniform(/*num_dcs=*/3, /*inter_dc_rtt_ms=*/1);
   topo.PlacePartitions(/*partitions=*/1, /*replication_factor=*/3);
