@@ -24,8 +24,12 @@ ConsistentHashRing::ConsistentHashRing(int num_partitions, int virtual_nodes)
 
 void ConsistentHashRing::AddPartition(PartitionId partition) {
   for (int v = 0; v < virtual_nodes_; ++v) {
-    const std::string token =
-        "p" + std::to_string(partition) + "#" + std::to_string(v);
+    // Token "p<partition>#<v>", built by appends: `"p" + std::string&&`
+    // trips GCC 12's -Werror=restrict false positive in Release builds.
+    std::string token = "p";
+    token += std::to_string(partition);
+    token += '#';
+    token += std::to_string(v);
     ring_[HashBytes(token)] = partition;
   }
   num_partitions_++;

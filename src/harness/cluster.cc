@@ -53,14 +53,14 @@ void Cluster::Start() {
     server->Start();
   }
   // Settle until every bootstrap leader has committed its initial no-op
-  // (up to one WAN roundtrip) and is serving, so measurements start from
-  // a steady state.
+  // (log index 1, up to one WAN roundtrip).
   for (int rounds = 0; rounds < 1000; ++rounds) {
-    bool all_serving = true;
+    bool settled = true;
     for (auto& [id, server] : servers_) {
-      if (!server->serving()) all_serving = false;
+      const raft::RaftNode* raft = server->raft();
+      if (raft->is_leader() && raft->commit_index() == 0) settled = false;
     }
-    if (all_serving && rounds > 0) break;
+    if (settled && rounds > 0) break;
     sim_.RunFor(10 * kMicrosPerMilli);
   }
 }

@@ -32,7 +32,9 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Starts every server (replica 0 of each partition bootstraps as
-  /// leader) and settles the initial heartbeats.
+  /// leader and serves at once), then runs the simulator until every
+  /// bootstrap leader has committed its term-1 no-op, so measurements
+  /// start from a steady state.
   void Start();
 
   sim::Simulator& sim() { return sim_; }

@@ -119,10 +119,6 @@ class RtCluster {
   /// Messages dropped across the deployment (full queues, dead sockets).
   uint64_t dropped_messages() const { return rt_->dropped_messages(); }
 
-  /// Monotone count of messages accepted cluster-wide; tests poll it for
-  /// quiescence (trailing writebacks settled) instead of fixed sleeps.
-  uint64_t posted_messages() const { return rt_->posted_messages(); }
-
   /// Aggregated TCP transport counters: per-reason drop counts
   /// (queue-full / connect-fail / decode-fail), the egress coalescing
   /// factor, and bytes/syscall totals. All zero in in-process mode.

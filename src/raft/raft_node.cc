@@ -58,11 +58,15 @@ void RaftNode::Start(bool bootstrap_as_leader) {
   }
   // Consistent bootstrap: the whole group starts in term 1 with replica 0
   // as leader, so no startup election (and no term skew visible to CPC's
-  // up-to-date check) occurs.
+  // up-to-date check) occurs. Bootstrap leadership is not a failover:
+  // nothing was ever persisted, hence nothing ever sent, so there is no
+  // earlier-term entry to commit, no pending list to examine and no
+  // coordinator to take over. The elected/leadership hooks stay silent
+  // and the node serves at once; the term-1 no-op still replicates.
   term_ = 1;
   PersistHardState();
   if (bootstrap_as_leader) {
-    BecomeLeader();
+    BecomeLeader(/*bootstrap=*/true);
   } else {
     BecomeFollower(term_);
   }
@@ -184,12 +188,12 @@ void RaftNode::BecomeCandidate() {
   if (votes_received_ >= quorum_size()) BecomeLeader();
 }
 
-void RaftNode::BecomeLeader() {
+void RaftNode::BecomeLeader(bool bootstrap) {
   role_ = RaftRole::kLeader;
   leader_hint_ = self_;
   elections_won_++;
   election_timer_gen_++;  // No election timeout while leading.
-  if (elected_fn_) elected_fn_(term_);
+  if (elected_fn_ && !bootstrap) elected_fn_(term_);
   for (size_t i = 0; i < members_.size(); ++i) {
     next_index_[i] = last_log_index() + 1;
     match_index_[i] = 0;
@@ -201,7 +205,7 @@ void RaftNode::BecomeLeader() {
   log_.push_back(LogEntry{term_, runtime::MakeMessage<NoopPayload>()});
   PersistEntry(log_.size());
   leader_init_index_ = log_.size();
-  leader_init_done_ = false;
+  leader_init_done_ = bootstrap;
   match_index_[SelfSlot()] = log_.size();
 
   BroadcastAppendEntries();

@@ -48,7 +48,8 @@ class RaftNode {
   using ApplyFn = std::function<void(uint64_t index, const sim::MessagePtr&)>;
   using VoteAttachmentFn = std::function<std::vector<kv::PendingTxn>()>;
   /// Called when this node wins an election *and* has committed its no-op
-  /// entry (so all prior-term entries are durable and applied). Receives
+  /// entry (so all prior-term entries are durable and applied); not on
+  /// bootstrap leadership, which has nothing to recover. Receives
   /// the pending-transaction lists piggybacked on the granted votes (the
   /// caller's own list is not included; it has direct access).
   using LeadershipFn =
@@ -56,8 +57,9 @@ class RaftNode {
                          std::vector<std::vector<kv::PendingTxn>> vote_lists)>;
   /// Called when leadership is lost (stepped down or crashed).
   using StepDownFn = std::function<void(uint64_t term)>;
-  /// Called the instant this node becomes leader (before any request can
-  /// be served); leadership_fn follows once the log is fully committed.
+  /// Called the instant this node wins an election (before any request
+  /// can be served); leadership_fn follows once the log is fully
+  /// committed. Bootstrap leadership calls neither.
   using ElectedFn = std::function<void(uint64_t term)>;
 
   /// `rng` is moved in by value: each member owns an independent stream,
@@ -90,7 +92,8 @@ class RaftNode {
 
   /// Starts timers. If `bootstrap_as_leader` the node assumes leadership
   /// of term 1 immediately (used at cluster startup to avoid an initial
-  /// election storm; all members must be started consistently). When
+  /// election storm; all members must be started consistently) and can
+  /// serve before its term-1 no-op commits. When
   /// durable storage holds a previous life's state, the flag is ignored:
   /// the node restores term/votedFor/log, replays the committed prefix
   /// through apply_fn, and rejoins as a follower — claiming a stale term-1
@@ -133,7 +136,9 @@ class RaftNode {
  private:
   void BecomeFollower(uint64_t term);
   void BecomeCandidate();
-  void BecomeLeader();
+  /// `bootstrap`: term-1 leadership of a group that never ran, which
+  /// skips the elected/leadership hooks (there is nothing to recover).
+  void BecomeLeader(bool bootstrap = false);
   void ResetElectionTimer();
   void ScheduleHeartbeat();
   void BroadcastAppendEntries();

@@ -62,7 +62,6 @@ bool EventLoop::PostMessage(NodeId from, MessagePtr msg) {
       return false;
     }
     inbound_.emplace_back(from, std::move(msg));
-    posted_++;
   }
   // Notify after unlock so the woken loop thread doesn't immediately
   // block on mu_ held here.
@@ -80,7 +79,6 @@ void EventLoop::PostMessages(std::vector<std::pair<NodeId, MessagePtr>>& msgs) {
         continue;
       }
       inbound_.emplace_back(from, std::move(msg));
-      posted_++;
     }
   }
   cv_.notify_one();
@@ -126,11 +124,6 @@ bool EventLoop::stopped() const {
 uint64_t EventLoop::dropped_messages() const {
   std::lock_guard<std::mutex> lk(mu_);
   return dropped_;
-}
-
-uint64_t EventLoop::posted_messages() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return posted_;
 }
 
 void EventLoop::Run() {
@@ -315,12 +308,6 @@ uint64_t ThreadedRuntime::dropped_messages() const {
     if (n != nullptr) net += n->stats();
   }
   return total + net.dropped_total();
-}
-
-uint64_t ThreadedRuntime::posted_messages() const {
-  uint64_t total = 0;
-  for (const auto& loop : loops_) total += loop->posted_messages();
-  return total;
 }
 
 TransportStats ThreadedRuntime::transport_stats() const {

@@ -87,11 +87,6 @@ class EventLoop final : public TimerQueue {
 
   uint64_t dropped_messages() const;
 
-  /// Messages accepted onto this loop's inbound queue over its lifetime.
-  /// Monotone; tests poll the cluster-wide sum for quiescence (the count
-  /// stops moving once no node is generating traffic).
-  uint64_t posted_messages() const;
-
  private:
   struct Timer {
     SimTime at = 0;
@@ -119,7 +114,6 @@ class EventLoop final : public TimerQueue {
   std::vector<Timer> timers_;  // Min-heap by (at, seq).
   uint64_t next_timer_seq_ = 0;
   uint64_t dropped_ = 0;
-  uint64_t posted_ = 0;
   std::thread thread_;
 };
 
@@ -217,10 +211,6 @@ class ThreadedRuntime final : public Transport {
   /// transport drop (queue-full, connect-fail, decode-fail). Fault drops
   /// are counted separately.
   uint64_t dropped_messages() const;
-
-  /// Messages accepted onto any node's inbound queue (monotone). Tests
-  /// poll this for quiescence instead of sleeping a fixed settle period.
-  uint64_t posted_messages() const;
 
   /// Aggregated TCP transport counters across all nodes (all zero in
   /// in-process mode). Per-reason drop counts and the egress coalescing

@@ -214,10 +214,8 @@ TEST(RtChaosTest, KilledReplicaRecoversFromWalAndRejoins) {
   stop.store(true);
   ASSERT_TRUE(
       PollUntil([&] { return done.load(); }, std::chrono::seconds(120)));
-  // Settle: in-flight writebacks land when cluster traffic stops moving.
-  PollUntilQuiescent([&] { return cluster.posted_messages(); },
-                     std::chrono::milliseconds(200),
-                     std::chrono::seconds(30));
+  // Settle: in-flight writebacks land on every replica.
+  ASSERT_TRUE(WaitUntilSettled(cluster, std::chrono::seconds(60)));
   cluster.Stop();
 
   // The restarted server really went through WAL recovery.
@@ -306,6 +304,69 @@ TEST(RtChaosTest, EveryServerServesOnItsLoopOnceStartOrRestartIsReady) {
   ASSERT_TRUE(cluster.WaitUntilServing(/*timeout_ms=*/20000));
   EXPECT_EQ(ServingOnOwnLoops(cluster), num_servers);
   cluster.Stop();
+}
+
+// A WAL restart of replica 0 — the bootstrap leader — comes back through
+// recovery as a follower, never through bootstrap: Start() persisted term
+// 1 before any server reported serving, so the rebuilt node finds durable
+// state and ignores bootstrap_as_leader. Its group moves on under a leader
+// of a later term.
+TEST(RtChaosTest, RestartedReplicaZeroRejoinsAsFollowerNotBootstrapLeader) {
+  Topology topo = Topology::Uniform(/*num_dcs=*/3, /*inter_dc_rtt_ms=*/1);
+  topo.PlacePartitions(/*partitions=*/1, /*replication_factor=*/3);
+  topo.AddClient(/*dc=*/0);
+  harness::RtClusterOptions rt_options;
+  rt_options.seed = 13;
+  rt_options.storage_dir = FreshStorageRoot("replica0");
+  harness::RtCluster cluster(std::move(topo), FastRaftOptions(), rt_options);
+  ASSERT_TRUE(cluster.Start(/*timeout_ms=*/20000));
+
+  const NodeId replica0 = cluster.topology().InitialLeader(0);
+  ASSERT_TRUE(cluster.KillServer(replica0));
+  ASSERT_TRUE(cluster.RestartServer(replica0));
+  // The probe queues behind Start on the rebuilt node's loop, long before
+  // any election timer could fire.
+  struct Probe {
+    std::atomic<bool> answered{false};
+    std::atomic<bool> recovered{false};
+    std::atomic<bool> leader{false};
+    std::atomic<uint64_t> elections_won{0};
+  };
+  auto probe = std::make_shared<Probe>();
+  core::CarouselServer* restarted = cluster.server(replica0);
+  cluster.RunOnServer(replica0, [restarted, probe]() {
+    probe->recovered.store(restarted->raft()->recovered());
+    probe->leader.store(restarted->raft()->is_leader());
+    probe->elections_won.store(restarted->raft()->elections_won());
+    probe->answered.store(true);
+  });
+  ASSERT_TRUE(PollUntil([&] { return probe->answered.load(); },
+                        std::chrono::seconds(30)));
+  EXPECT_TRUE(probe->recovered.load());
+  EXPECT_FALSE(probe->leader.load());
+  EXPECT_EQ(probe->elections_won.load(), 0u);
+
+  // The group commits again, under a leader elected in term >= 2.
+  std::atomic<int> committed{0};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> done{false};
+  auto driver = std::make_shared<LoopDriver>(
+      &cluster, std::vector<Key>{"za", "zb"}, /*seed=*/7, &committed, &stop,
+      &done);
+  cluster.RunOnClient(0, [driver]() { driver->Next(); });
+  ASSERT_TRUE(WaitForCommits(committed, 5, 120));
+  stop.store(true);
+  ASSERT_TRUE(
+      PollUntil([&] { return done.load(); }, std::chrono::seconds(120)));
+  cluster.Stop();
+  int leaders = 0;
+  for (NodeId id : cluster.topology().Replicas(0)) {
+    const raft::RaftNode* raft = cluster.server(id)->raft();
+    if (!raft->is_leader()) continue;
+    leaders++;
+    EXPECT_GE(raft->term(), 2u);
+  }
+  EXPECT_EQ(leaders, 1);
 }
 
 TEST(RtChaosTest, KillRequiresConfiguredStorage) {

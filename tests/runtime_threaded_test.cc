@@ -134,6 +134,45 @@ std::vector<std::vector<Key>> BuildKeyPools(const core::Directory& directory) {
   return pool;
 }
 
+// Certifies a stopped, fault-free cluster: every replica holds a prefix of
+// each key's longest writer chain (same extraction as the chaos harness),
+// and the history over those chains passes the DSG checker with at least
+// `min_committed` commits.
+void CertifyStopped(harness::RtCluster& cluster,
+                    const check::HistoryRecorder& history,
+                    size_t min_committed) {
+  check::WriterChains chains;
+  for (PartitionId p = 0; p < kPartitions; ++p) {
+    std::map<Key, std::vector<const std::vector<TxnId>*>> per_key;
+    for (NodeId id : cluster.topology().Replicas(p)) {
+      core::CarouselServer* server = cluster.server(id);
+      ASSERT_NE(server, nullptr);
+      for (const auto& [key, chain] : server->store().writer_log()) {
+        per_key[key].push_back(&chain);
+      }
+    }
+    for (auto& [key, candidates] : per_key) {
+      const std::vector<TxnId>* longest = candidates.front();
+      for (const auto* chain : candidates) {
+        if (chain->size() > longest->size()) longest = chain;
+      }
+      for (const auto* chain : candidates) {
+        EXPECT_TRUE(IsPrefix(*chain, *longest))
+            << "replicas of partition " << p
+            << " disagree on the write order of '" << key << "'";
+      }
+      chains[key] = *longest;
+    }
+  }
+
+  const check::CheckResult result = check::CheckSerializability(history, chains);
+  EXPECT_TRUE(result.ok()) << result.violations.size() << " violations; first: "
+                           << (result.violations.empty()
+                                   ? ""
+                                   : result.violations.front().description);
+  EXPECT_GE(result.committed, min_committed);
+}
+
 void RunSmoke(bool use_tcp) {
   Topology topo = Topology::Uniform(/*num_dcs=*/3, /*inter_dc_rtt_ms=*/1);
   topo.PlacePartitions(kPartitions, /*replication_factor=*/3);
@@ -183,49 +222,14 @@ void RunSmoke(bool use_tcp) {
       << " aborted=" << board->aborted.load()
       << " dropped=" << cluster.dropped_messages();
 
-  // Let in-flight writebacks and coordinator decisions settle (message
-  // traffic stops moving once they land), then join every thread — after
-  // Stop() the server state is plain memory.
-  PollUntilQuiescent([&] { return cluster.posted_messages(); },
-                     std::chrono::milliseconds(200),
-                     std::chrono::seconds(30));
+  // Let in-flight writebacks and coordinator decisions land on every
+  // replica, then join every thread — after Stop() the server state is
+  // plain memory.
+  ASSERT_TRUE(WaitUntilSettled(cluster, std::chrono::seconds(60)));
   cluster.Stop();
 
   EXPECT_GE(board->committed.load(), 1000);
-
-  // Ground truth: per key, the longest writer chain across a partition's
-  // replicas; with no faults injected every replica must hold a prefix of
-  // it (same extraction as the chaos harness).
-  check::WriterChains chains;
-  for (PartitionId p = 0; p < kPartitions; ++p) {
-    std::map<Key, std::vector<const std::vector<TxnId>*>> per_key;
-    for (NodeId id : cluster.topology().Replicas(p)) {
-      core::CarouselServer* server = cluster.server(id);
-      ASSERT_NE(server, nullptr);
-      for (const auto& [key, chain] : server->store().writer_log()) {
-        per_key[key].push_back(&chain);
-      }
-    }
-    for (auto& [key, candidates] : per_key) {
-      const std::vector<TxnId>* longest = candidates.front();
-      for (const auto* chain : candidates) {
-        if (chain->size() > longest->size()) longest = chain;
-      }
-      for (const auto* chain : candidates) {
-        EXPECT_TRUE(IsPrefix(*chain, *longest))
-            << "replicas of partition " << p
-            << " disagree on the write order of '" << key << "'";
-      }
-      chains[key] = *longest;
-    }
-  }
-
-  const check::CheckResult result = check::CheckSerializability(history, chains);
-  EXPECT_TRUE(result.ok()) << result.violations.size() << " violations; first: "
-                           << (result.violations.empty()
-                                   ? ""
-                                   : result.violations.front().description);
-  EXPECT_GE(result.committed, 1000);
+  CertifyStopped(cluster, history, /*min_committed=*/1000);
 }
 
 TEST(ThreadedRuntimeSmoke, InProcessClusterCommitsAndSerializes) {
@@ -234,6 +238,87 @@ TEST(ThreadedRuntimeSmoke, InProcessClusterCommitsAndSerializes) {
 
 TEST(ThreadedRuntimeSmoke, TcpClusterCommitsAndSerializes) {
   RunSmoke(/*use_tcp=*/true);
+}
+
+// A fresh cluster serves the moment Start() returns: bootstrap leadership
+// runs no failover recovery, so no serving gate waits for the term-1
+// no-ops. A 50 ms one-way delay on every cross-DC link keeps those no-ops
+// uncommitted for at least 100 ms while the test looks, and transactions
+// issued at once run inside that window.
+TEST(ThreadedRuntimeSmoke, FreshClusterServesBeforeBootstrapNoopsCommit) {
+  constexpr int kWindowTarget = 15;
+  Topology topo = Topology::Uniform(/*num_dcs=*/3, /*inter_dc_rtt_ms=*/1);
+  topo.PlacePartitions(kPartitions, /*replication_factor=*/3);
+  for (DcId dc = 0; dc < 3; ++dc) topo.AddClient(dc);
+  harness::RtClusterOptions rt_options;
+  rt_options.seed = 11;
+  harness::RtCluster cluster(std::move(topo), FastRaftOptions(), rt_options);
+  runtime::ThreadedRuntime::LinkFault wan;
+  wan.delay = 50'000;
+  const auto& nodes = cluster.topology().nodes();
+  for (size_t a = 0; a < nodes.size(); ++a) {
+    for (size_t b = a + 1; b < nodes.size(); ++b) {
+      if (nodes[a].dc != nodes[b].dc) {
+        cluster.rt().SetLinkFault(nodes[a].id, nodes[b].id, wan);
+      }
+    }
+  }
+  check::HistoryRecorder history;
+  cluster.AttachHistory(&history);
+  ASSERT_TRUE(cluster.Start(/*timeout_ms=*/20000));
+
+  struct Probe {
+    std::atomic<size_t> answered{0};
+    std::atomic<size_t> serving{0};
+    std::atomic<size_t> leaders{0};
+    std::atomic<size_t> uncommitted_leaders{0};
+  };
+  auto probe = std::make_shared<Probe>();
+  size_t num_servers = 0;
+  for (const NodeInfo& info : nodes) {
+    if (info.is_client) continue;
+    num_servers++;
+    core::CarouselServer* s = cluster.server(info.id);
+    cluster.RunOnServer(info.id, [s, probe]() {
+      if (s->serving()) probe->serving.fetch_add(1);
+      if (s->raft()->is_leader()) {
+        probe->leaders.fetch_add(1);
+        if (s->raft()->commit_index() == 0) {
+          probe->uncommitted_leaders.fetch_add(1);
+        }
+      }
+      probe->answered.fetch_add(1);
+    });
+  }
+  ASSERT_TRUE(PollUntil([&] { return probe->answered.load() == num_servers; },
+                        std::chrono::seconds(30)));
+  EXPECT_EQ(probe->serving.load(), num_servers);
+  EXPECT_EQ(probe->leaders.load(), static_cast<size_t>(kPartitions));
+  EXPECT_EQ(probe->uncommitted_leaders.load(),
+            static_cast<size_t>(kPartitions))
+      << "a bootstrap no-op committed before the probe; the window is gone";
+
+  const std::vector<std::vector<Key>> pool =
+      BuildKeyPools(cluster.directory());
+  auto board = std::make_shared<Scoreboard>();
+  const int num_clients = static_cast<int>(cluster.num_clients());
+  std::vector<std::shared_ptr<Driver>> drivers;
+  for (int i = 0; i < num_clients; ++i) {
+    drivers.push_back(std::make_shared<Driver>(
+        &cluster, i, board, &pool, /*seed=*/2000 + 17 * i, kWindowTarget));
+  }
+  for (int i = 0; i < num_clients; ++i) {
+    auto driver = drivers[i];
+    cluster.RunOnClient(i, [driver]() { driver->Next(); });
+  }
+  ASSERT_TRUE(PollUntil(
+      [&] { return board->done_clients.load() >= num_clients; },
+      std::chrono::seconds(120)))
+      << "drivers stalled: committed=" << board->committed.load()
+      << " aborted=" << board->aborted.load();
+  ASSERT_TRUE(WaitUntilSettled(cluster, std::chrono::seconds(60)));
+  cluster.Stop();
+  CertifyStopped(cluster, history, kWindowTarget);
 }
 
 // Regression for the TCP listener port plan: every node binds port 0 and

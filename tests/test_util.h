@@ -1,6 +1,7 @@
 #ifndef CAROUSEL_TESTS_TEST_UTIL_H_
 #define CAROUSEL_TESTS_TEST_UTIL_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -10,8 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "harness/cluster.h"
 #include "common/topology.h"
+#include "harness/cluster.h"
+#include "harness/rt_cluster.h"
 
 namespace carousel::test {
 
@@ -32,31 +34,46 @@ inline bool PollUntil(const std::function<bool()>& cond,
   return true;
 }
 
-/// Polls a monotone counter until it stays unchanged for `stable_for`
-/// (or `timeout` elapses; returns false then). Quiescence detection for
-/// settle phases with no single completion predicate — e.g. waiting out
-/// a real-time cluster's trailing writebacks before Stop(): sample the
-/// cluster-wide posted_messages() and return once traffic stops moving.
-inline bool PollUntilQuiescent(const std::function<uint64_t()>& sample,
-                               std::chrono::milliseconds stable_for,
-                               std::chrono::milliseconds timeout,
-                               std::chrono::milliseconds interval =
-                                   std::chrono::milliseconds(20)) {
+/// Settle phase for a real-time cluster before Stop(): probes every live
+/// server on its own loop thread until none holds a pending prepare. Every
+/// prepared transaction pins its keys on each participant leader (and on
+/// each replica that voted or applied the prepare) until its commit or
+/// abort is applied there, so an empty pending list everywhere means every
+/// decided transaction's writebacks have landed. Coordinator records are
+/// no signal: followers keep the ones they apply from the log. Returns
+/// false if the cluster does not settle within `timeout`. Not for use
+/// while a concurrent KillServer or RestartServer may stop a probed loop.
+inline bool WaitUntilSettled(harness::RtCluster& cluster,
+                             std::chrono::milliseconds timeout) {
+  struct Probe {
+    std::atomic<size_t> answered{0};
+    std::atomic<size_t> busy{0};
+  };
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  uint64_t last = sample();
-  auto stable_since = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(interval);
-    const uint64_t cur = sample();
-    const auto now = std::chrono::steady_clock::now();
-    if (cur != last) {
-      last = cur;
-      stable_since = now;
-    } else if (now - stable_since >= stable_for) {
-      return true;
+  for (;;) {
+    std::vector<core::CarouselServer*> live;
+    for (const NodeInfo& info : cluster.topology().nodes()) {
+      if (!info.is_client && cluster.server_alive(info.id)) {
+        live.push_back(cluster.server(info.id));
+      }
     }
+    auto probe = std::make_shared<Probe>();
+    for (core::CarouselServer* s : live) {
+      cluster.RunOnServer(s->id(), [s, probe]() {
+        if (s->pending().size() > 0) probe->busy.fetch_add(1);
+        probe->answered.fetch_add(1);
+      });
+    }
+    if (!PollUntil([&] { return probe->answered.load() == live.size(); },
+                   std::chrono::duration_cast<std::chrono::milliseconds>(
+                       deadline - std::chrono::steady_clock::now()),
+                   std::chrono::milliseconds(1))) {
+      return false;
+    }
+    if (probe->busy.load() == 0) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  return false;
 }
 
 /// A small deployment: `num_dcs` DCs at a uniform RTT, `partitions`
