@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark) for the hot data structures under
 // the protocols: pending-list OCC checks, the versioned store, workload
-// generation, and the simulator core. Not a paper artifact; used to keep
-// the simulation fast enough for the throughput sweeps.
+// generation, the simulator core, and the wire codec. Not a paper
+// artifact; used to keep the simulation fast enough for the throughput
+// sweeps and the TCP frame path cheap.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
+#include "carousel/messages.h"
 #include "common/consistent_hash.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -14,11 +17,13 @@
 #include "common/zipfian.h"
 #include "kv/pending_list.h"
 #include "kv/versioned_store.h"
+#include "raft/messages.h"
 #include "runtime/arena.h"
 #include "runtime/batcher.h"
 #include "sim/network.h"
 #include "runtime/endpoint.h"
 #include "sim/simulator.h"
+#include "wire/wire.h"
 #include "workload/workload.h"
 
 namespace carousel {
@@ -218,6 +223,133 @@ void BM_BatcherSendFlush(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_BatcherSendFlush);
+
+// ---------------------------------------------------------------------------
+// Wire codec: one representative message per encoding shape, selected by
+// the benchmark argument (labelled in the output).
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<core::LogPrepareResult> CodecPrepareResult(uint64_t n) {
+  auto m = std::make_shared<core::LogPrepareResult>();
+  m->tid = {3, n};
+  m->coordinator = 4;
+  m->prepared = true;
+  m->read_keys = {"user:1042", "user:77"};
+  m->write_keys = {"timeline:1042"};
+  m->read_versions = {{"user:1042", 12}, {"user:77", 9}};
+  m->term = 5;
+  return m;
+}
+
+/// 0: a flat message with key lists; 1: an AppendEntries carrying three
+/// log payloads; 2: a two-item batch envelope; 3: a vote carrying a
+/// pending list.
+sim::MessagePtr CodecSample(int64_t which) {
+  switch (which) {
+    case 0: {
+      auto m = std::make_shared<core::ReadPrepareMsg>();
+      m->tid = {3, 77};
+      m->partition = 1;
+      m->client = 12;
+      m->coordinator = 4;
+      m->read_keys = {"user:1042", "user:77", "post:9"};
+      m->write_keys = {"timeline:1042"};
+      m->fast_path = true;
+      m->want_data = true;
+      return m;
+    }
+    case 1: {
+      auto m = std::make_shared<raft::AppendEntriesMsg>();
+      m->group = 2;
+      m->term = 5;
+      m->leader = 3;
+      m->prev_log_index = 41;
+      m->prev_log_term = 5;
+      m->leader_commit = 40;
+      for (uint64_t i = 0; i < 3; ++i) {
+        m->entries.push_back(raft::LogEntry{5, CodecPrepareResult(i)});
+      }
+      return m;
+    }
+    case 2: {
+      auto decision = std::make_shared<core::PrepareDecisionMsg>();
+      decision->tid = {3, 77};
+      decision->partition = 1;
+      decision->replica = 6;
+      decision->prepared = true;
+      decision->read_versions = {{"user:1042", 12}, {"user:77", 9}};
+      auto reads = std::make_shared<core::ReadResponseMsg>();
+      reads->tid = {3, 77};
+      reads->partition = 1;
+      reads->reads = {{"user:1042", {"v-1042", 12}}, {"user:77", {"v-77", 9}}};
+      auto m = std::make_shared<sim::BatchEnvelopeMsg>();
+      m->items = {decision, reads};
+      return m;
+    }
+    default: {
+      auto m = std::make_shared<raft::VoteResponseMsg>();
+      m->group = 2;
+      m->term = 6;
+      m->voter = 5;
+      m->granted = true;
+      for (uint64_t i = 0; i < 4; ++i) {
+        const auto p = CodecPrepareResult(i);
+        kv::PendingTxn txn;
+        txn.tid = p->tid;
+        txn.read_keys = p->read_keys;
+        txn.write_keys = p->write_keys;
+        txn.read_versions = p->read_versions;
+        txn.term = p->term;
+        txn.coordinator = p->coordinator;
+        m->pending_list.push_back(std::move(txn));
+      }
+      return m;
+    }
+  }
+}
+
+const char* const kCodecSampleNames[] = {"ReadPrepare", "AppendEntries3",
+                                         "BatchEnvelope2", "VoteResponse4"};
+
+/// The TCP writer's encode: append into a reused frame buffer.
+void BM_WireEncode(benchmark::State& state) {
+  const sim::MessagePtr msg = CodecSample(state.range(0));
+  const runtime::WireCodec codec = wire::Codec();
+  std::vector<uint8_t> out;
+  for (auto _ : state) {
+    out.clear();
+    codec.encode_append(*msg, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetLabel(kCodecSampleNames[state.range(0)]);
+  state.SetBytesProcessed(state.iterations() * msg->WireSize());
+}
+BENCHMARK(BM_WireEncode)->DenseRange(0, 3);
+
+/// The TCP reader's decode: one payload into a fresh message.
+void BM_WireDecode(benchmark::State& state) {
+  const sim::MessagePtr msg = CodecSample(state.range(0));
+  const std::vector<uint8_t> bytes = wire::Encode(*msg);
+  const runtime::WireCodec codec = wire::Codec();
+  for (auto _ : state) {
+    sim::MessagePtr decoded = codec.decode(msg->type(), bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(decoded.get());
+  }
+  state.SetLabel(kCodecSampleNames[state.range(0)]);
+  state.SetBytesProcessed(state.iterations() * bytes.size());
+}
+BENCHMARK(BM_WireDecode)->DenseRange(0, 3);
+
+/// SizeBytes() itself, bypassing the message's own memo (nested log
+/// payloads and batch items keep theirs, as on the retransmission path).
+void BM_SizeBytes(benchmark::State& state) {
+  const sim::MessagePtr msg = CodecSample(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(msg->SizeBytes());
+  }
+  state.SetLabel(kCodecSampleNames[state.range(0)]);
+}
+BENCHMARK(BM_SizeBytes)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace carousel

@@ -6,7 +6,10 @@
 #      src/tapir) must compile against the runtime interfaces only — no
 #      simulator includes besides the sim/message.h DTO header.
 #   1. Tier-1 verify: RelWithDebInfo build with -Werror on library targets,
-#      the fast (`-L tier1`) ctest suite.
+#      the fast (`-L tier1`) ctest suite; then a Release (-O3) -Werror
+#      compile of the src/ libraries alone in build-release/ (no tests),
+#      where GCC's optimizer-driven warnings (-Wrestrict,
+#      -Wstringop-overflow) fire.
 #   2. Chaos leg: the slow-labeled suite (pinned chaos corpus, batched and
 #      unbatched) plus a bounded seed sweep of the chaos harness. A failing
 #      seed prints a self-contained report; replay it locally with
@@ -125,6 +128,11 @@ leg1() {
   echo "== leg 1: tier-1 verify (RelWithDebInfo, -Werror on src/) =="
   build_main
   ctest --test-dir build --output-on-failure -j "$JOBS" -L tier1
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCAROUSEL_WERROR=ON
+  cmake --build build-release -j "$JOBS" --target \
+      carousel_common carousel_runtime carousel_sim carousel_obs carousel_kv \
+      carousel_raft carousel_check carousel_chaos_lib carousel_core \
+      carousel_tapir carousel_wire carousel_harness carousel_workload
 }
 
 leg2() {

@@ -124,6 +124,15 @@ ChaosResult RunChaosSeed(const ChaosConfig& config) {
   // ---- Sample the workload ----
   std::vector<PlannedTxn> plan(static_cast<size_t>(std::max(config.txns, 1)));
   uint64_t value_counter = 0;
+  // Unique written values "s<seed>t<n>", built by appends (GCC 12's
+  // -Wrestrict misfires on literal + std::string in Release builds).
+  const auto next_value = [&] {
+    std::string v = "s";
+    v += std::to_string(config.seed);
+    v += 't';
+    v += std::to_string(value_counter++);
+    return v;
+  };
   for (PlannedTxn& txn : plan) {
     txn.at = t0 + rng.UniformInt(0, window);
     txn.client = static_cast<int>(rng.UniformInt(0, num_clients - 1));
@@ -143,18 +152,14 @@ ChaosResult RunChaosSeed(const ChaosConfig& config) {
     } else if (shape < 0.30) {
       // Blind writes.
       for (int k : keys) {
-        txn.writes[KeyName(k)] =
-            "s" + std::to_string(config.seed) + "t" +
-            std::to_string(value_counter++);
+        txn.writes[KeyName(k)] = next_value();
       }
     } else {
       // Read-modify-write: read all, write a non-empty subset.
       for (int k : keys) txn.read_keys.push_back(KeyName(k));
       const size_t nwrites = 1 + rng.UniformInt(0, nkeys - 1);
       for (size_t i = 0; i < nwrites; ++i) {
-        txn.writes[KeyName(keys[i])] =
-            "s" + std::to_string(config.seed) + "t" +
-            std::to_string(value_counter++);
+        txn.writes[KeyName(keys[i])] = next_value();
       }
       txn.voluntary_abort = rng.Bernoulli(0.04);
     }

@@ -107,8 +107,14 @@ struct RtDriver : std::enable_shared_from_this<RtDriver> {
     }
 
     const Key write1 = Pick(p1), write2 = Pick(p2);
-    const Value value = "s" + std::to_string(value_tag) + "c" +
-                        std::to_string(index) + "t" + std::to_string(seq++);
+    // Built by appends: GCC 12's -Wrestrict misfires on literal +
+    // std::string in Release builds.
+    Value value = "s";
+    value += std::to_string(value_tag);
+    value += 'c';
+    value += std::to_string(index);
+    value += 't';
+    value += std::to_string(seq++);
     const bool voluntary_abort = rng.Bernoulli(0.03);
     client->ReadAndPrepare(
         tid, {read1, read2}, {write1, write2},

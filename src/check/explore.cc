@@ -76,7 +76,8 @@ KeyList ProbeKeys(const core::Cluster& cluster, const ExploreConfig& config) {
     const PartitionId target =
         static_cast<PartitionId>(j % config.partitions);
     for (int i = 0; i < 100000; ++i) {
-      Key k = "k" + std::to_string(i);
+      Key k = "k";
+      k += std::to_string(i);  // Appends: see the -Wrestrict note below.
       if (used.count(k) > 0) continue;
       if (cluster.directory().PartitionFor(k) == target) {
         used.insert(k);
@@ -199,11 +200,14 @@ RunOutcome RunSchedule(const ExploreConfig& config,
     TxnPlan plan;
     plan.client = i % num_clients;
     plan.reads = keys;
-    plan.writes[keys[static_cast<size_t>(i) % keys.size()]] =
-        "t" + std::to_string(i);
+    // Values by appends: GCC 12's -Wrestrict misfires on literal +
+    // std::string in Release builds.
+    Value value = "t";
+    value += std::to_string(i);
+    plan.writes[keys[static_cast<size_t>(i) % keys.size()]] = value;
     if (keys.size() > 1) {
       plan.writes[keys[static_cast<size_t>(i + 1) % keys.size()]] =
-          "t" + std::to_string(i) + "b";
+          value + 'b';
     }
     plans.push_back(std::move(plan));
   }

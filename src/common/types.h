@@ -53,6 +53,12 @@ struct TxnId {
   friend bool operator==(const TxnId& a, const TxnId& b) {
     return a.client == b.client && a.counter == b.counter;
   }
+
+  /// Wire layout (common/fields.h): i32 client, u64 counter.
+  template <class F>
+  void Fields(F& f) {
+    f(client, counter);
+  }
   friend bool operator<(const TxnId& a, const TxnId& b) {
     if (a.client != b.client) return a.client < b.client;
     return a.counter < b.counter;

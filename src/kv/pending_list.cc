@@ -1,5 +1,7 @@
 #include "kv/pending_list.h"
 
+#include "common/bytes.h"
+
 namespace carousel::kv {
 
 bool PendingList::HasConflict(const KeyList& reads,
@@ -61,77 +63,32 @@ std::vector<PendingTxn> PendingList::Snapshot() const {
   return out;
 }
 
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutStr(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-struct BlobReader {
-  const uint8_t* data;
-  size_t len;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || len - pos < n) {
-      ok = false;
-      return false;
-    }
-    pos += n;
-    return true;
-  }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos - 4 + i]) << (8 * i);
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos - 8 + i]) << (8 * i);
-    return v;
-  }
-  std::string Str() {
-    const uint32_t n = U32();
-    if (!Take(n)) return {};
-    return std::string(reinterpret_cast<const char*>(data + pos - n), n);
-  }
-};
-
-}  // namespace
-
 std::vector<uint8_t> EncodePendingTxn(const PendingTxn& txn) {
   std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(txn.tid.client));
-  PutU64(&out, txn.tid.counter);
-  PutU64(&out, txn.term);
-  PutU32(&out, static_cast<uint32_t>(txn.coordinator));
-  PutU64(&out, static_cast<uint64_t>(txn.prepared_at_micros));
-  PutU32(&out, static_cast<uint32_t>(txn.read_keys.size()));
-  for (const Key& k : txn.read_keys) PutStr(&out, k);
-  PutU32(&out, static_cast<uint32_t>(txn.write_keys.size()));
-  for (const Key& k : txn.write_keys) PutStr(&out, k);
-  PutU32(&out, static_cast<uint32_t>(txn.read_versions.size()));
+  ByteWriter w(&out);
+  const auto put_str = [&w](const std::string& s) {
+    w.U32(static_cast<uint32_t>(s.size()));
+    w.Str(s);
+  };
+  w.U32(static_cast<uint32_t>(txn.tid.client));
+  w.U64(txn.tid.counter);
+  w.U64(txn.term);
+  w.U32(static_cast<uint32_t>(txn.coordinator));
+  w.U64(static_cast<uint64_t>(txn.prepared_at_micros));
+  w.U32(static_cast<uint32_t>(txn.read_keys.size()));
+  for (const Key& k : txn.read_keys) put_str(k);
+  w.U32(static_cast<uint32_t>(txn.write_keys.size()));
+  for (const Key& k : txn.write_keys) put_str(k);
+  w.U32(static_cast<uint32_t>(txn.read_versions.size()));
   for (const auto& [k, v] : txn.read_versions) {
-    PutStr(&out, k);
-    PutU64(&out, v);
+    put_str(k);
+    w.U64(v);
   }
   return out;
 }
 
 bool DecodePendingTxn(const uint8_t* data, size_t len, PendingTxn* out) {
-  BlobReader r{data, len};
+  ByteReader r(data, len);
   PendingTxn txn;
   txn.tid.client = static_cast<ClientId>(static_cast<int32_t>(r.U32()));
   txn.tid.counter = r.U64();
@@ -139,17 +96,19 @@ bool DecodePendingTxn(const uint8_t* data, size_t len, PendingTxn* out) {
   txn.coordinator = static_cast<NodeId>(static_cast<int32_t>(r.U32()));
   txn.prepared_at_micros = static_cast<int64_t>(r.U64());
   const uint32_t nreads = r.U32();
-  for (uint32_t i = 0; i < nreads && r.ok; ++i) txn.read_keys.push_back(r.Str());
+  for (uint32_t i = 0; i < nreads && r.ok(); ++i) {
+    txn.read_keys.push_back(r.Str(r.U32()));
+  }
   const uint32_t nwrites = r.U32();
-  for (uint32_t i = 0; i < nwrites && r.ok; ++i) {
-    txn.write_keys.push_back(r.Str());
+  for (uint32_t i = 0; i < nwrites && r.ok(); ++i) {
+    txn.write_keys.push_back(r.Str(r.U32()));
   }
   const uint32_t nversions = r.U32();
-  for (uint32_t i = 0; i < nversions && r.ok; ++i) {
-    Key k = r.Str();
+  for (uint32_t i = 0; i < nversions && r.ok(); ++i) {
+    Key k = r.Str(r.U32());
     txn.read_versions[std::move(k)] = r.U64();
   }
-  if (!r.ok) return false;
+  if (!r.ok()) return false;
   *out = std::move(txn);
   return true;
 }

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -29,6 +30,20 @@ struct PendingTxn {
   /// When the entry was created (microseconds of simulated time); drives
   /// the pending-entry garbage-collection probe.
   int64_t prepared_at_micros = 0;
+
+  /// The layout a vote piggybacks (raft::VoteResponseMsg): tid,
+  /// coordinator, the term as u32 and both key counts as u16, then the
+  /// keys, then one version per read key. prepared_at_micros is local
+  /// bookkeeping and stays off the wire; the prepare-pin journal
+  /// (EncodePendingTxn) keeps its own, fuller format.
+  template <class F>
+  void Fields(F& f) {
+    uint16_t reads = static_cast<uint16_t>(read_keys.size());
+    uint16_t writes = static_cast<uint16_t>(write_keys.size());
+    f(tid, coordinator, Narrow<uint32_t>(term), reads, writes,
+      Counted{read_keys, reads}, Counted{write_keys, writes},
+      VersionsPerKey{read_keys, read_versions});
+  }
 };
 
 /// The pending-transaction list a Carousel replica maintains, with the OCC

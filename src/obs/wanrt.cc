@@ -85,8 +85,10 @@ std::string WanrtStats::ToJson(int indent) const {
     std::string h = "{";
     bool first = true;
     for (const auto& [hops, n] : hist) {
-      h += first ? "" : ", ";
-      h += "\"" + std::to_string(hops) + "\": " + std::to_string(n);
+      h += first ? "\"" : ", \"";
+      h += std::to_string(hops);
+      h += "\": ";
+      h += std::to_string(n);
       first = false;
     }
     h += "}";

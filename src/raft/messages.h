@@ -14,50 +14,59 @@ namespace carousel::raft {
 struct LogEntry {
   uint64_t term = 0;
   sim::MessagePtr payload;
+
+  template <class F>
+  void Fields(F& f) {
+    f(term, payload);
+  }
 };
 
 /// No-op entry a new leader appends to commit entries from prior terms
 /// (Raft §5.4.2 commit rule) and to detect when its log is fully
 /// replicated.
-struct NoopPayload final : sim::Message {
-  int type() const override { return sim::kLogNoop; }
-  size_t SizeBytes() const override { return 8; }
+struct NoopPayload final : sim::WireMessage<NoopPayload, sim::kLogNoop, 8> {
+  template <class F>
+  void Fields(F& f) {
+    f.Header();
+  }
 };
 
-/// Approximate wire size of a pending-transaction list entry, for vote
-/// message accounting.
-size_t PendingTxnWireSize(const kv::PendingTxn& txn);
-
-struct RequestVoteMsg final : sim::Message {
+struct RequestVoteMsg final
+    : sim::WireMessage<RequestVoteMsg, sim::kRaftRequestVote, 40> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   NodeId candidate = kInvalidNode;
   uint64_t last_log_index = 0;
   uint64_t last_log_term = 0;
 
-  int type() const override { return sim::kRaftRequestVote; }
-  size_t SizeBytes() const override { return 40; }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(group, term, candidate, last_log_index, last_log_term);
+  }
 };
 
 /// Vote response. Carousel extension (paper §4.3.3 step 1): when the vote
 /// is granted, the voter piggybacks its pending-transaction list so the
-/// new leader can reconstruct fast-path prepare decisions.
-struct VoteResponseMsg final : sim::Message {
+/// new leader can reconstruct fast-path prepare decisions (each entry in
+/// kv::PendingTxn's wire layout).
+struct VoteResponseMsg final
+    : sim::WireMessage<VoteResponseMsg, sim::kRaftVoteResponse, 24> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   bool granted = false;
   NodeId voter = kInvalidNode;
   std::vector<kv::PendingTxn> pending_list;
 
-  int type() const override { return sim::kRaftVoteResponse; }
-  size_t SizeBytes() const override {
-    size_t sz = 24;
-    for (const auto& txn : pending_list) sz += PendingTxnWireSize(txn);
-    return sz;
+  template <class F>
+  void Fields(F& f) {
+    uint32_t n = WireCount(pending_list);
+    f.Header(group, term, voter, granted, n);
+    f(Counted{pending_list, n});
   }
 };
 
-struct AppendEntriesMsg final : sim::Message {
+struct AppendEntriesMsg final
+    : sim::WireMessage<AppendEntriesMsg, sim::kRaftAppendEntries, 48> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   NodeId leader = kInvalidNode;
@@ -66,15 +75,12 @@ struct AppendEntriesMsg final : sim::Message {
   uint64_t leader_commit = 0;
   std::vector<LogEntry> entries;
 
-  int type() const override { return sim::kRaftAppendEntries; }
-  size_t SizeBytes() const override {
-    size_t sz = 48;
-    for (const auto& e : entries) {
-      // WireSize: payloads are shared with the log and re-measured on
-      // every retransmission; never re-walk their key lists.
-      sz += 16 + (e.payload ? e.payload->WireSize() : 0);
-    }
-    return sz;
+  template <class F>
+  void Fields(F& f) {
+    uint32_t n = WireCount(entries);
+    f.Header(group, term, leader, prev_log_index, prev_log_term,
+             leader_commit, n);
+    f(Counted{entries, n});
   }
   /// WANRT accounting: an append is attributed to every transaction whose
   /// log payload it carries, so replication legs count toward those
@@ -86,7 +92,8 @@ struct AppendEntriesMsg final : sim::Message {
   }
 };
 
-struct AppendResponseMsg final : sim::Message {
+struct AppendResponseMsg final
+    : sim::WireMessage<AppendResponseMsg, sim::kRaftAppendResponse, 32> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   bool success = false;
@@ -100,8 +107,10 @@ struct AppendResponseMsg final : sim::Message {
   /// to the transactions it makes durable.
   std::vector<sim::WanSpan> wan_spans;
 
-  int type() const override { return sim::kRaftAppendResponse; }
-  size_t SizeBytes() const override { return 32; }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(group, term, follower, success, match_index);
+  }
   void CollectSpans(std::vector<sim::WanSpan>* out) const override {
     out->insert(out->end(), wan_spans.begin(), wan_spans.end());
   }

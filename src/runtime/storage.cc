@@ -10,6 +10,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
+
 namespace carousel::runtime {
 namespace {
 
@@ -40,57 +42,6 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
   for (size_t i = 0; i < len; ++i) crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutBytes(std::vector<uint8_t>* out, const uint8_t* data, size_t len) {
-  out->insert(out->end(), data, data + len);
-}
-
-/// Bounds-checked little-endian reader; underflow latches !ok().
-struct ByteReader {
-  const uint8_t* data;
-  size_t len;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || len - pos < n) {
-      ok = false;
-      return false;
-    }
-    pos += n;
-    return true;
-  }
-  uint8_t U8() { return Take(1) ? data[pos - 1] : 0; }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos - 4 + i]) << (8 * i);
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos - 8 + i]) << (8 * i);
-    return v;
-  }
-  std::string Str(size_t n) {
-    if (!Take(n)) return {};
-    return std::string(reinterpret_cast<const char*>(data + pos - n), n);
-  }
-  std::vector<uint8_t> Bytes(size_t n) {
-    if (!Take(n)) return {};
-    return std::vector<uint8_t>(data + pos - n, data + pos);
-  }
-  size_t remaining() const { return len - pos; }
-};
 
 bool WriteAll(int fd, const uint8_t* data, size_t len) {
   while (len > 0) {
@@ -160,9 +111,10 @@ WalStorage::~WalStorage() {
 void WalStorage::AppendRecord(const std::vector<uint8_t>& body) {
   std::vector<uint8_t> rec;
   rec.reserve(8 + body.size());
-  PutU32(&rec, static_cast<uint32_t>(body.size()));
-  PutU32(&rec, Crc32(body.data(), body.size()));
-  PutBytes(&rec, body.data(), body.size());
+  ByteWriter w(&rec);
+  w.U32(static_cast<uint32_t>(body.size()));
+  w.U32(Crc32(body.data(), body.size()));
+  w.Bytes(body.data(), body.size());
   if (wal_fd_ >= 0 && WriteAll(wal_fd_, rec.data(), rec.size())) {
     wal_bytes_ += rec.size();
     if (options_.fsync) ::fsync(wal_fd_);
@@ -173,16 +125,20 @@ void WalStorage::AppendRecord(const std::vector<uint8_t>& body) {
 void WalStorage::PersistHardState(uint64_t term, NodeId voted_for) {
   state_.term = term;
   state_.voted_for = voted_for;
-  std::vector<uint8_t> body{kRecHardState};
-  PutU64(&body, term);
-  PutU32(&body, static_cast<uint32_t>(voted_for));
+  std::vector<uint8_t> body;
+  ByteWriter w(&body);
+  w.U8(kRecHardState);
+  w.U64(term);
+  w.U32(static_cast<uint32_t>(voted_for));
   AppendRecord(body);
 }
 
 void WalStorage::PersistCommitIndex(uint64_t commit_index) {
   state_.commit_index = commit_index;
-  std::vector<uint8_t> body{kRecCommitIndex};
-  PutU64(&body, commit_index);
+  std::vector<uint8_t> body;
+  ByteWriter w(&body);
+  w.U8(kRecCommitIndex);
+  w.U64(commit_index);
   AppendRecord(body);
 }
 
@@ -207,30 +163,35 @@ void WalStorage::PersistLogEntry(uint64_t index, uint64_t term,
     state_.commit_index = state_.log.size();
   }
 
-  std::vector<uint8_t> body{kRecLogEntry};
-  PutU64(&body, index);
-  PutU64(&body, term);
-  PutU32(&body, static_cast<uint32_t>(
-                    payload == nullptr ? -1 : payload->type()));
-  PutBytes(&body, encoded.data(), encoded.size());
+  std::vector<uint8_t> body;
+  ByteWriter w(&body);
+  w.U8(kRecLogEntry);
+  w.U64(index);
+  w.U64(term);
+  w.U32(static_cast<uint32_t>(payload == nullptr ? -1 : payload->type()));
+  w.Bytes(encoded.data(), encoded.size());
   AppendRecord(body);
 }
 
 void WalStorage::PersistPendingAdd(const std::string& key,
                                    std::vector<uint8_t> blob) {
-  std::vector<uint8_t> body{kRecPendingAdd};
-  PutU32(&body, static_cast<uint32_t>(key.size()));
-  PutBytes(&body, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  PutBytes(&body, blob.data(), blob.size());
+  std::vector<uint8_t> body;
+  ByteWriter w(&body);
+  w.U8(kRecPendingAdd);
+  w.U32(static_cast<uint32_t>(key.size()));
+  w.Str(key);
+  w.Bytes(blob.data(), blob.size());
   state_.pending[key] = std::move(blob);
   AppendRecord(body);
 }
 
 void WalStorage::PersistPendingErase(const std::string& key) {
   if (state_.pending.erase(key) == 0) return;  // Nothing durable to undo.
-  std::vector<uint8_t> body{kRecPendingErase};
-  PutU32(&body, static_cast<uint32_t>(key.size()));
-  PutBytes(&body, reinterpret_cast<const uint8_t*>(key.data()), key.size());
+  std::vector<uint8_t> body;
+  ByteWriter w(&body);
+  w.U8(kRecPendingErase);
+  w.U32(static_cast<uint32_t>(key.size()));
+  w.Str(key);
   AppendRecord(body);
 }
 
@@ -252,28 +213,28 @@ void WalStorage::LoadFromDisk() {
 bool WalStorage::LoadSnapshot() {
   std::vector<uint8_t> bytes;
   if (!ReadFileBytes(dir_ + "/snapshot.bin", &bytes)) return false;
-  ByteReader header{bytes.data(), bytes.size()};
+  ByteReader header(bytes.data(), bytes.size());
   if (header.U32() != kSnapshotMagic || header.U32() != kSnapshotVersion) {
     return false;
   }
   const uint32_t body_len = header.U32();
   const uint32_t crc = header.U32();
-  if (!header.ok || header.remaining() < body_len) return false;
-  const uint8_t* body = bytes.data() + header.pos;
+  if (!header.ok() || header.remaining() < body_len) return false;
+  const uint8_t* body = header.cursor();
   if (Crc32(body, body_len) != crc) return false;
 
-  ByteReader r{body, body_len};
+  ByteReader r(body, body_len);
   state_.term = r.U64();
   state_.voted_for = static_cast<NodeId>(static_cast<int32_t>(r.U32()));
   state_.commit_index = r.U64();
   const uint64_t nlog = r.U64();
-  for (uint64_t i = 0; i < nlog && r.ok; ++i) {
+  for (uint64_t i = 0; i < nlog && r.ok(); ++i) {
     DurableNodeState::LogEntry entry;
     entry.term = r.U64();
     entry.payload_type = static_cast<int32_t>(r.U32());
     const uint32_t plen = r.U32();
     const std::vector<uint8_t> payload = r.Bytes(plen);
-    if (!r.ok) break;
+    if (!r.ok()) break;
     if (entry.payload_type >= 0 && codec_.decode) {
       entry.payload =
           codec_.decode(entry.payload_type, payload.data(), payload.size());
@@ -281,15 +242,15 @@ bool WalStorage::LoadSnapshot() {
     state_.log.push_back(std::move(entry));
   }
   const uint64_t npending = r.U64();
-  for (uint64_t i = 0; i < npending && r.ok; ++i) {
+  for (uint64_t i = 0; i < npending && r.ok(); ++i) {
     const uint32_t klen = r.U32();
     const std::string key = r.Str(klen);
     const uint32_t blen = r.U32();
     std::vector<uint8_t> blob = r.Bytes(blen);
-    if (!r.ok) break;
+    if (!r.ok()) break;
     state_.pending[key] = std::move(blob);
   }
-  if (!r.ok) {
+  if (!r.ok()) {
     // A snapshot is written atomically (tmp + rename), so a parse failure
     // means external corruption; start over rather than trust half of it.
     state_ = DurableNodeState{};
@@ -304,14 +265,14 @@ void WalStorage::ReplayWal() {
   if (!ReadFileBytes(path, &bytes)) return;
   size_t pos = 0;
   while (pos + 8 <= bytes.size()) {
-    ByteReader header{bytes.data() + pos, 8};
+    ByteReader header(bytes.data() + pos, 8);
     const uint32_t body_len = header.U32();
     const uint32_t crc = header.U32();
     if (pos + 8 + body_len > bytes.size() || body_len == 0) break;  // Torn.
     const uint8_t* body = bytes.data() + pos + 8;
     if (Crc32(body, body_len) != crc) break;  // Torn / corrupt tail.
 
-    ByteReader r{body, body_len};
+    ByteReader r(body, body_len);
     switch (r.U8()) {
       case kRecHardState: {
         state_.term = r.U64();
@@ -328,7 +289,7 @@ void WalStorage::ReplayWal() {
         entry.term = r.U64();
         entry.payload_type = static_cast<int32_t>(r.U32());
         std::vector<uint8_t> payload = r.Bytes(r.remaining());
-        if (!r.ok) break;
+        if (!r.ok()) break;
         if (entry.payload_type >= 0 && codec_.decode) {
           entry.payload = codec_.decode(entry.payload_type, payload.data(),
                                         payload.size());
@@ -345,13 +306,13 @@ void WalStorage::ReplayWal() {
         const uint32_t klen = r.U32();
         const std::string key = r.Str(klen);
         std::vector<uint8_t> blob = r.Bytes(r.remaining());
-        if (r.ok) state_.pending[key] = std::move(blob);
+        if (r.ok()) state_.pending[key] = std::move(blob);
         break;
       }
       case kRecPendingErase: {
         const uint32_t klen = r.U32();
         const std::string key = r.Str(klen);
-        if (r.ok) state_.pending.erase(key);
+        if (r.ok()) state_.pending.erase(key);
         break;
       }
       default:
@@ -370,34 +331,36 @@ void WalStorage::ReplayWal() {
 
 void WalStorage::Compact() {
   std::vector<uint8_t> body;
-  PutU64(&body, state_.term);
-  PutU32(&body, static_cast<uint32_t>(state_.voted_for));
-  PutU64(&body, state_.commit_index);
-  PutU64(&body, state_.log.size());
+  ByteWriter w(&body);
+  w.U64(state_.term);
+  w.U32(static_cast<uint32_t>(state_.voted_for));
+  w.U64(state_.commit_index);
+  w.U64(state_.log.size());
   for (const DurableNodeState::LogEntry& entry : state_.log) {
-    PutU64(&body, entry.term);
-    PutU32(&body, static_cast<uint32_t>(entry.payload_type));
+    w.U64(entry.term);
+    w.U32(static_cast<uint32_t>(entry.payload_type));
     std::vector<uint8_t> encoded;
     if (entry.payload != nullptr && codec_.encode) {
       encoded = codec_.encode(*entry.payload);
     }
-    PutU32(&body, static_cast<uint32_t>(encoded.size()));
-    PutBytes(&body, encoded.data(), encoded.size());
+    w.U32(static_cast<uint32_t>(encoded.size()));
+    w.Bytes(encoded.data(), encoded.size());
   }
-  PutU64(&body, state_.pending.size());
+  w.U64(state_.pending.size());
   for (const auto& [key, blob] : state_.pending) {
-    PutU32(&body, static_cast<uint32_t>(key.size()));
-    PutBytes(&body, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-    PutU32(&body, static_cast<uint32_t>(blob.size()));
-    PutBytes(&body, blob.data(), blob.size());
+    w.U32(static_cast<uint32_t>(key.size()));
+    w.Str(key);
+    w.U32(static_cast<uint32_t>(blob.size()));
+    w.Bytes(blob.data(), blob.size());
   }
 
   std::vector<uint8_t> file;
-  PutU32(&file, kSnapshotMagic);
-  PutU32(&file, kSnapshotVersion);
-  PutU32(&file, static_cast<uint32_t>(body.size()));
-  PutU32(&file, Crc32(body.data(), body.size()));
-  PutBytes(&file, body.data(), body.size());
+  ByteWriter f(&file);
+  f.U32(kSnapshotMagic);
+  f.U32(kSnapshotVersion);
+  f.U32(static_cast<uint32_t>(body.size()));
+  f.U32(Crc32(body.data(), body.size()));
+  f.Bytes(body.data(), body.size());
 
   const std::string tmp = dir_ + "/snapshot.tmp";
   const std::string final_path = dir_ + "/snapshot.bin";

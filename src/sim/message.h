@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace carousel::sim {
@@ -98,8 +99,9 @@ class Message {
   /// The MessageType tag of the concrete struct.
   virtual int type() const = 0;
 
-  /// Approximate serialized size in bytes (payload only; the network adds
-  /// per-message header overhead). Used for Figure 7 bandwidth accounting.
+  /// Serialized size in bytes (payload only; the network adds per-message
+  /// header overhead). Used for Figure 7 bandwidth accounting; for field-list
+  /// messages (WireMessage) it is exactly what the wire codec writes.
   virtual size_t SizeBytes() const = 0;
 
   /// Memoized SizeBytes. A message is frozen once handed to the network
@@ -148,26 +150,46 @@ const T& As(const Message& msg) {
   return static_cast<const T&>(msg);
 }
 
+/// Base of every message with a field list (common/fields.h): derives
+/// type() from the tag and SizeBytes() from Derived::Fields, which the
+/// wire codec also encodes and decodes from. `HeaderBytes` is the fixed
+/// header budget the field list's Header(...) fields are padded to.
+template <class Derived, int Type, size_t HeaderBytes>
+struct WireMessage : Message {
+  static constexpr int kType = Type;
+  static constexpr size_t kHeaderBytes = HeaderBytes;
+
+  int type() const final { return kType; }
+  size_t SizeBytes() const final {
+    FieldSizer sizer(kHeaderBytes);
+    VisitFields(sizer);
+    return sizer.bytes();
+  }
+  /// Runs a pass that only reads the fields (sizing, encoding): Fields()
+  /// serves every pass, so it is non-const.
+  template <class F>
+  void VisitFields(F& f) const {
+    const_cast<Derived&>(static_cast<const Derived&>(*this)).Fields(f);
+  }
+};
+
 /// A frame of coalesced messages sent as one wire message: the egress
-/// batcher (sim/batcher.h) wraps everything buffered for one destination
+/// batcher (runtime/batcher.h) wraps everything buffered for one destination
 /// in a single envelope per flush. Receivers unwrap and handle each item
 /// as if it had arrived alone; the win is one network header and one
 /// per-message CPU charge amortized over all items (the cost model charges
 /// a smaller per-item rate for enveloped messages, see
-/// ServerCostModel::per_batched_item).
-struct BatchEnvelopeMsg final : Message {
-  /// Per-item length-prefix/framing bytes inside the envelope.
-  static constexpr size_t kPerItemFramingBytes = 8;
-
+/// ServerCostModel::per_batched_item). Each item costs its nested-payload
+/// framing (type + length) on top of its own size.
+struct BatchEnvelopeMsg final
+    : WireMessage<BatchEnvelopeMsg, kBatchEnvelope, 8> {
   std::vector<MessagePtr> items;
 
-  int type() const override { return kBatchEnvelope; }
-  size_t SizeBytes() const override {
-    size_t total = 8;  // Envelope's own item-count framing.
-    for (const auto& m : items) {
-      total += m->WireSize() + kPerItemFramingBytes;
-    }
-    return total;
+  template <class F>
+  void Fields(F& f) {
+    uint32_t n = WireCount(items);
+    f.Header(n);
+    f(Counted{items, n});
   }
   void CollectSpans(std::vector<WanSpan>* out) const override {
     for (const auto& m : items) m->CollectSpans(out);

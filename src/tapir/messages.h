@@ -3,7 +3,6 @@
 
 #include <map>
 
-#include "carousel/messages.h"  // byte-size helpers
 #include "common/types.h"
 #include "sim/message.h"
 
@@ -18,28 +17,37 @@ enum class Vote : int8_t {
 };
 
 /// Client -> one (closest) replica: read a batch of keys of one partition.
-struct TapirReadMsg final : sim::Message {
+struct TapirReadMsg final
+    : sim::WireMessage<TapirReadMsg, sim::kTapirRead, 32> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId client = kInvalidNode;
   KeyList keys;
 
-  int type() const override { return sim::kTapirRead; }
-  size_t SizeBytes() const override { return 32 + core::SizeOfKeys(keys); }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, client);
+    f(keys);
+  }
 };
 
-struct TapirReadReplyMsg final : sim::Message {
+struct TapirReadReplyMsg final
+    : sim::WireMessage<TapirReadReplyMsg, sim::kTapirReadReply, 24> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   std::map<Key, VersionedValue> reads;
 
-  int type() const override { return sim::kTapirReadReply; }
-  size_t SizeBytes() const override { return 24 + core::SizeOfReads(reads); }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition);
+    f(reads);
+  }
 };
 
 /// Client -> every replica of a participant partition (IR consensus
 /// operation): validate and tentatively prepare the transaction.
-struct TapirPrepareMsg final : sim::Message {
+struct TapirPrepareMsg final
+    : sim::WireMessage<TapirPrepareMsg, sim::kTapirPrepare, 40> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId client = kInvalidNode;
@@ -48,65 +56,79 @@ struct TapirPrepareMsg final : sim::Message {
   ReadVersionMap read_versions;
   WriteSet writes;
 
-  int type() const override { return sim::kTapirPrepare; }
-  size_t SizeBytes() const override {
-    return 40 + core::SizeOfVersions(read_versions) +
-           core::SizeOfWrites(writes);
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, client, timestamp);
+    f(read_versions, writes);
   }
 };
 
-struct TapirPrepareReplyMsg final : sim::Message {
+struct TapirPrepareReplyMsg final
+    : sim::WireMessage<TapirPrepareReplyMsg, sim::kTapirPrepareReply, 28> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId replica = kInvalidNode;
   Vote vote = Vote::kAbstain;
 
-  int type() const override { return sim::kTapirPrepareReply; }
-  size_t SizeBytes() const override { return 28; }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, replica, vote);
+  }
 };
 
 /// Client -> every replica (IR slow path): make the chosen prepare result
 /// durable before acting on it.
-struct TapirFinalizeMsg final : sim::Message {
+struct TapirFinalizeMsg final
+    : sim::WireMessage<TapirFinalizeMsg, sim::kTapirFinalize, 28> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   Vote vote = Vote::kAbstain;
 
-  int type() const override { return sim::kTapirFinalize; }
-  size_t SizeBytes() const override { return 28; }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, vote);
+  }
 };
 
-struct TapirFinalizeReplyMsg final : sim::Message {
+struct TapirFinalizeReplyMsg final
+    : sim::WireMessage<TapirFinalizeReplyMsg, sim::kTapirFinalizeReply, 24> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId replica = kInvalidNode;
 
-  int type() const override { return sim::kTapirFinalizeReply; }
-  size_t SizeBytes() const override { return 24; }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, replica);
+  }
 };
 
 /// Client -> every replica: the commit/abort decision (inconsistent
 /// operation; applied on receipt).
-struct TapirDecideMsg final : sim::Message {
+struct TapirDecideMsg final
+    : sim::WireMessage<TapirDecideMsg, sim::kTapirDecide, 32> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   bool commit = false;
   uint64_t timestamp = 0;
   WriteSet writes;
 
-  int type() const override { return sim::kTapirDecide; }
-  size_t SizeBytes() const override {
-    return 32 + core::SizeOfWrites(writes);
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, timestamp, commit);
+    f(writes);
   }
 };
 
-struct TapirDecideAckMsg final : sim::Message {
+struct TapirDecideAckMsg final
+    : sim::WireMessage<TapirDecideAckMsg, sim::kTapirDecideAck, 24> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId replica = kInvalidNode;
 
-  int type() const override { return sim::kTapirDecideAck; }
-  size_t SizeBytes() const override { return 24; }
+  template <class F>
+  void Fields(F& f) {
+    f.Header(tid, partition, replica);
+  }
 };
 
 }  // namespace carousel::tapir

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
-#include <map>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "carousel/messages.h"
+#include "common/bytes.h"
 #include "raft/messages.h"
 #include "runtime/arena.h"
 #include "tapir/messages.h"
@@ -16,1008 +15,237 @@
 namespace carousel::wire {
 namespace {
 
+void EncodeInto(const sim::Message& msg, std::vector<uint8_t>* out);
+sim::MessagePtr DecodeFrom(int type, const uint8_t* data, size_t len);
+
 // ---------------------------------------------------------------------------
-// Little-endian writer/reader
+// The encoding and decoding passes over a field list (common/fields.h;
+// the sizing pass, FieldSizer, lives there too).
 // ---------------------------------------------------------------------------
 
-/// Appends to a shared output vector; offsets (PadTo) are relative to the
-/// writer's construction point, so nested writers handle the recursive
-/// payloads (AppendEntries entries, batch envelope items) naturally.
-class Writer {
+class FieldWriter : public FieldVisitor<FieldWriter> {
  public:
-  explicit Writer(std::vector<uint8_t>* out) : out_(out), start_(out->size()) {}
+  static constexpr FieldPass kPass = FieldPass::kEncode;
+  FieldWriter(std::vector<uint8_t>* out, size_t header_bytes)
+      : w_(out), header_bytes_(header_bytes) {}
 
-  void U8(uint8_t v) { out_->push_back(v); }
-  void U16(uint16_t v) { AppendLe(v); }
-  void U32(uint32_t v) { AppendLe(v); }
-  void U64(uint64_t v) { AppendLe(v); }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void Raw(const std::string& s) {
-    out_->insert(out_->end(), s.begin(), s.end());
+  template <class T>
+  void Scalar(const T& v) {
+    if constexpr (sizeof(T) == 1) {
+      w_.U8(static_cast<uint8_t>(v));
+    } else if constexpr (sizeof(T) == 2) {
+      w_.U16(static_cast<uint16_t>(v));
+    } else if constexpr (sizeof(T) == 4) {
+      w_.U32(static_cast<uint32_t>(v));
+    } else {
+      w_.U64(static_cast<uint64_t>(v));
+    }
   }
-
-  /// Zero-pads the current message to exactly `n` bytes; the fixed-header
-  /// budget in SizeBytes() is authoritative, the natural fields must fit.
-  void PadTo(size_t n) {
-    assert(written() <= n);
-    out_->resize(start_ + n, 0);
+  void Bytes(const std::string& s, size_t) { w_.Str(s); }
+  template <class C, class Fn>
+  void Each(C& items, size_t, Fn&& fn) {
+    for (auto& e : items) fn(e);
   }
-
-  size_t written() const { return out_->size() - start_; }
+  /// Type, then a length patched in once the payload is encoded in place.
+  void Payload(const sim::MessagePtr& payload) {
+    w_.U32(payload == nullptr ? 0 : static_cast<uint32_t>(payload->type()));
+    const size_t at = w_.written();
+    w_.U32(0);
+    if (payload == nullptr) return;
+    EncodeInto(*payload, w_.out());
+    w_.PatchU32(at, static_cast<uint32_t>(w_.written() - at - 4));
+  }
+  void EndHeader() {
+    assert(w_.written() <= header_bytes_);
+    w_.PadTo(header_bytes_);
+  }
 
  private:
-  /// One growth check and one memcpy per field instead of a bounds-checked
-  /// push_back per byte — the encode side of the TCP frame hot path.
-  template <typename T>
-  void AppendLe(T v) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    T le = 0;
-    for (size_t i = 0; i < sizeof(T); ++i)
-      le |= static_cast<T>(static_cast<uint8_t>(v >> (8 * i)))
-            << (8 * (sizeof(T) - 1 - i));
-    v = le;
-#endif
-    const uint8_t* b = reinterpret_cast<const uint8_t*>(&v);
-    out_->insert(out_->end(), b, b + sizeof(T));
-  }
-
-  std::vector<uint8_t>* out_;
-  size_t start_;
+  ByteWriter w_;
+  size_t header_bytes_;
 };
 
-/// Bounds-checked reader over a payload slice. Underflow latches ok()=false
-/// and yields zeros; decoders check ok() once at the end.
-class Reader {
+/// The decoder sits on the network boundary: every count is bounded by
+/// the bytes left, and any underflow latches ok() = false.
+class FieldReader : public FieldVisitor<FieldReader> {
  public:
-  Reader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
+  static constexpr FieldPass kPass = FieldPass::kDecode;
+  FieldReader(const uint8_t* data, size_t len, size_t header_bytes)
+      : r_(data, len), header_bytes_(header_bytes) {}
 
-  uint8_t U8() { return Take(1) ? data_[pos_ - 1] : 0; }
-  uint16_t U16() { return TakeLe<uint16_t>(); }
-  uint32_t U32() { return TakeLe<uint32_t>(); }
-  uint64_t U64() { return TakeLe<uint64_t>(); }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  std::string Raw(size_t n) {
-    if (!Take(n)) return {};
-    return std::string(reinterpret_cast<const char*>(data_ + pos_ - n), n);
-  }
-
-  /// Skips forward to absolute offset `n` within this payload (the padded
-  /// remainder of a fixed header).
-  void SkipTo(size_t n) {
-    if (n < pos_ || n > len_) {
-      ok_ = false;
-      return;
+  template <class T>
+  void Scalar(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r_.U8() != 0;
+    } else if constexpr (sizeof(T) == 1) {
+      v = static_cast<T>(r_.U8());
+    } else if constexpr (sizeof(T) == 2) {
+      v = static_cast<T>(r_.U16());
+    } else if constexpr (sizeof(T) == 4) {
+      v = static_cast<T>(r_.U32());
+    } else {
+      v = static_cast<T>(r_.U64());
     }
-    pos_ = n;
   }
-
-  const uint8_t* cursor() const { return data_ + pos_; }
-  size_t remaining() const { return len_ - pos_; }
-  void Advance(size_t n) { Take(n); }
-  bool ok() const { return ok_; }
-
- private:
-  bool Take(size_t n) {
-    if (!ok_ || len_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  /// One bounds check and one unaligned load per field — the decode side
-  /// of the TCP frame hot path.
-  template <typename T>
-  T TakeLe() {
-    if (!Take(sizeof(T))) return 0;
-    T v;
-    std::memcpy(&v, data_ + pos_ - sizeof(T), sizeof(T));
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    T le = 0;
-    for (size_t i = 0; i < sizeof(T); ++i)
-      le |= static_cast<T>(static_cast<uint8_t>(v >> (8 * i)))
-            << (8 * (sizeof(T) - 1 - i));
-    v = le;
-#endif
-    return v;
-  }
-
-  const uint8_t* data_;
-  size_t len_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
-// Shared sub-encodings (byte-compatible with the SizeOf* accounting)
-// ---------------------------------------------------------------------------
-
-void PutTxnId(Writer& w, const TxnId& t) {  // 12 bytes
-  w.I32(t.client);
-  w.U64(t.counter);
-}
-TxnId GetTxnId(Reader& r) {
-  TxnId t;
-  t.client = r.I32();
-  t.counter = r.U64();
-  return t;
-}
-
-// SizeOfKeys: 4 + per key (4 + klen).
-void PutKeys(Writer& w, const KeyList& keys) {
-  w.U32(static_cast<uint32_t>(keys.size()));
-  for (const Key& k : keys) {
-    w.U32(static_cast<uint32_t>(k.size()));
-    w.Raw(k);
-  }
-}
-KeyList GetKeys(Reader& r) {
-  KeyList keys;
-  const uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint32_t len = r.U32();
-    keys.push_back(r.Raw(len));
-  }
-  return keys;
-}
-
-// SizeOfWrites: 4 + per entry (8 + klen + vlen).
-void PutWrites(Writer& w, const WriteSet& writes) {
-  w.U32(static_cast<uint32_t>(writes.size()));
-  for (const auto& [k, v] : writes) {
-    w.U32(static_cast<uint32_t>(k.size()));
-    w.U32(static_cast<uint32_t>(v.size()));
-    w.Raw(k);
-    w.Raw(v);
-  }
-}
-WriteSet GetWrites(Reader& r) {
-  WriteSet writes;
-  const uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint32_t klen = r.U32();
-    const uint32_t vlen = r.U32();
-    Key k = r.Raw(klen);
-    writes[std::move(k)] = r.Raw(vlen);
-  }
-  return writes;
-}
-
-// SizeOfVersions: 4 + per entry (12 + klen) = u32 klen + key + u64 version.
-void PutVersions(Writer& w, const ReadVersionMap& versions) {
-  w.U32(static_cast<uint32_t>(versions.size()));
-  for (const auto& [k, v] : versions) {
-    w.U32(static_cast<uint32_t>(k.size()));
-    w.Raw(k);
-    w.U64(v);
-  }
-}
-ReadVersionMap GetVersions(Reader& r) {
-  ReadVersionMap versions;
-  const uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint32_t klen = r.U32();
-    Key k = r.Raw(klen);
-    versions[std::move(k)] = r.U64();
-  }
-  return versions;
-}
-
-// SizeOfReads: 4 + per entry (12 + klen + vlen) =
-// u16 klen + u16 vlen + u64 version + key + value.
-void PutReads(Writer& w, const std::map<Key, VersionedValue>& reads) {
-  w.U32(static_cast<uint32_t>(reads.size()));
-  for (const auto& [k, vv] : reads) {
-    w.U16(static_cast<uint16_t>(k.size()));
-    w.U16(static_cast<uint16_t>(vv.value.size()));
-    w.U64(vv.version);
-    w.Raw(k);
-    w.Raw(vv.value);
-  }
-}
-std::map<Key, VersionedValue> GetReads(Reader& r) {
-  std::map<Key, VersionedValue> reads;
-  const uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint16_t klen = r.U16();
-    const uint16_t vlen = r.U16();
-    VersionedValue vv;
-    vv.version = r.U64();
-    Key k = r.Raw(klen);
-    vv.value = r.Raw(vlen);
-    reads[std::move(k)] = std::move(vv);
-  }
-  return reads;
-}
-
-// Per-partition key sets: the entry count lives in the enclosing fixed
-// header (the size formulas charge a flat 8 per entry), each entry is
-// i32 partition + u32 reserved + keys + keys.
-void PutPartitionKeys(Writer& w, const std::map<PartitionId, core::RwKeys>& m) {
-  for (const auto& [p, rw] : m) {
-    w.I32(p);
-    w.U32(0);
-    PutKeys(w, rw.reads);
-    PutKeys(w, rw.writes);
-  }
-}
-std::map<PartitionId, core::RwKeys> GetPartitionKeys(Reader& r, uint32_t n) {
-  std::map<PartitionId, core::RwKeys> m;
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const PartitionId p = r.I32();
-    r.U32();  // reserved
-    core::RwKeys rw;
-    rw.reads = GetKeys(r);
-    rw.writes = GetKeys(r);
-    m[p] = std::move(rw);
-  }
-  return m;
-}
-
-// ---------------------------------------------------------------------------
-// Registry plumbing
-// ---------------------------------------------------------------------------
-
-std::vector<uint8_t> EncodeInternal(const sim::Message& msg);
-sim::MessagePtr DecodeInternal(int type, const uint8_t* data, size_t len);
-
-using EncodeFn = void (*)(const sim::Message&, Writer&);
-using DecodeFn = std::shared_ptr<sim::Message> (*)(Reader&);
-
-struct Entry {
-  EncodeFn encode;
-  DecodeFn decode;
-};
-
-// ---------------------------------------------------------------------------
-// Carousel client/coordinator/participant messages
-// ---------------------------------------------------------------------------
-
-void EncodeBody(const core::ReadPrepareMsg& m, Writer& w) {  // 48 + keys + keys
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.client);
-  w.I32(m.coordinator);
-  w.U32(m.attempt);
-  w.U8(m.read_only);
-  w.U8(m.fast_path);
-  w.U8(m.want_data);
-  w.U8(m.is_retry);
-  w.PadTo(48);
-  PutKeys(w, m.read_keys);
-  PutKeys(w, m.write_keys);
-}
-void DecodeBody(core::ReadPrepareMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.client = r.I32();
-  m.coordinator = r.I32();
-  m.attempt = r.U32();
-  m.read_only = r.U8() != 0;
-  m.fast_path = r.U8() != 0;
-  m.want_data = r.U8() != 0;
-  m.is_retry = r.U8() != 0;
-  r.SkipTo(48);
-  m.read_keys = GetKeys(r);
-  m.write_keys = GetKeys(r);
-}
-
-void EncodeBody(const core::ReadResponseMsg& m, Writer& w) {  // 32 + reads
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.U32(m.attempt);
-  w.U8(m.ok);
-  w.U8(m.from_leader);
-  w.PadTo(32);
-  PutReads(w, m.reads);
-}
-void DecodeBody(core::ReadResponseMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.attempt = r.U32();
-  m.ok = r.U8() != 0;
-  m.from_leader = r.U8() != 0;
-  r.SkipTo(32);
-  m.reads = GetReads(r);
-}
-
-void EncodeBody(const core::PrepareDecisionMsg& m, Writer& w) {  // 48 + vers
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.replica);
-  w.U64(m.term);
-  w.U8(m.is_leader);
-  w.U8(m.via_fast_path);
-  w.U8(m.prepared);
-  w.PadTo(48);
-  PutVersions(w, m.read_versions);
-}
-void DecodeBody(core::PrepareDecisionMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.replica = r.I32();
-  m.term = r.U64();
-  m.is_leader = r.U8() != 0;
-  m.via_fast_path = r.U8() != 0;
-  m.prepared = r.U8() != 0;
-  r.SkipTo(48);
-  m.read_versions = GetVersions(r);
-}
-
-void EncodeBody(const core::CoordPrepareMsg& m, Writer& w) {  // 32 + pkeys
-  PutTxnId(w, m.tid);
-  w.I32(m.client);
-  w.U8(m.fast_path);
-  w.U32(static_cast<uint32_t>(m.keys.size()));
-  w.PadTo(32);
-  PutPartitionKeys(w, m.keys);
-}
-void DecodeBody(core::CoordPrepareMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.client = r.I32();
-  m.fast_path = r.U8() != 0;
-  const uint32_t n = r.U32();
-  r.SkipTo(32);
-  m.keys = GetPartitionKeys(r, n);
-}
-
-void EncodeBody(const core::CommitRequestMsg& m, Writer& w) {
-  // 32 + writes + versions + pkeys
-  PutTxnId(w, m.tid);
-  w.I32(m.client);
-  w.U32(static_cast<uint32_t>(m.keys.size()));
-  w.PadTo(32);
-  PutWrites(w, m.writes);
-  PutVersions(w, m.read_versions);
-  PutPartitionKeys(w, m.keys);
-}
-void DecodeBody(core::CommitRequestMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.client = r.I32();
-  const uint32_t n = r.U32();
-  r.SkipTo(32);
-  m.writes = GetWrites(r);
-  m.read_versions = GetVersions(r);
-  m.keys = GetPartitionKeys(r, n);
-}
-
-void EncodeBody(const core::AbortRequestMsg& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.I32(m.client);
-  w.PadTo(24);
-}
-void DecodeBody(core::AbortRequestMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.client = r.I32();
-  r.SkipTo(24);
-}
-
-void EncodeBody(const core::CommitResponseMsg& m, Writer& w) {  // 24 + reason
-  PutTxnId(w, m.tid);
-  w.U8(m.committed);
-  w.U32(static_cast<uint32_t>(m.reason.size()));
-  w.PadTo(24);
-  w.Raw(m.reason);
-}
-void DecodeBody(core::CommitResponseMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.committed = r.U8() != 0;
-  const uint32_t len = r.U32();
-  r.SkipTo(24);
-  m.reason = r.Raw(len);
-}
-
-void EncodeBody(const core::WritebackMsg& m, Writer& w) {  // 32 + writes
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.coordinator);
-  w.U8(m.commit);
-  w.PadTo(32);
-  PutWrites(w, m.writes);
-}
-void DecodeBody(core::WritebackMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.coordinator = r.I32();
-  m.commit = r.U8() != 0;
-  r.SkipTo(32);
-  m.writes = GetWrites(r);
-}
-
-void EncodeBody(const core::WritebackAckMsg& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.PadTo(24);
-}
-void DecodeBody(core::WritebackAckMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  r.SkipTo(24);
-}
-
-void EncodeBody(const core::HeartbeatMsg& m, Writer& w) {  // 20
-  PutTxnId(w, m.tid);
-  w.I32(m.client);
-  w.PadTo(20);
-}
-void DecodeBody(core::HeartbeatMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.client = r.I32();
-  r.SkipTo(20);
-}
-
-void EncodeBody(const core::QueryPrepareMsg& m, Writer& w) {  // 40 + keys x2
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.coordinator);
-  w.PadTo(40);
-  PutKeys(w, m.read_keys);
-  PutKeys(w, m.write_keys);
-}
-void DecodeBody(core::QueryPrepareMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.coordinator = r.I32();
-  r.SkipTo(40);
-  m.read_keys = GetKeys(r);
-  m.write_keys = GetKeys(r);
-}
-
-void EncodeBody(const core::QueryDecisionMsg& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.PadTo(24);
-}
-void DecodeBody(core::QueryDecisionMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  r.SkipTo(24);
-}
-
-void EncodeBody(const core::NotLeaderMsg& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.leader_hint);
-  w.PadTo(24);
-}
-void DecodeBody(core::NotLeaderMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.leader_hint = r.I32();
-  r.SkipTo(24);
-}
-
-// ---------------------------------------------------------------------------
-// Raft log payloads
-// ---------------------------------------------------------------------------
-
-void EncodeBody(const core::LogTxnInfo& m, Writer& w) {  // 32 + pkeys
-  PutTxnId(w, m.tid);
-  w.I32(m.client);
-  w.U8(m.fast_path);
-  w.U32(static_cast<uint32_t>(m.keys.size()));
-  w.PadTo(32);
-  PutPartitionKeys(w, m.keys);
-}
-void DecodeBody(core::LogTxnInfo& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.client = r.I32();
-  m.fast_path = r.U8() != 0;
-  const uint32_t n = r.U32();
-  r.SkipTo(32);
-  m.keys = GetPartitionKeys(r, n);
-}
-
-void EncodeBody(const core::LogWriteData& m, Writer& w) {  // 24 + w + v
-  PutTxnId(w, m.tid);
-  w.PadTo(24);
-  PutWrites(w, m.writes);
-  PutVersions(w, m.client_versions);
-}
-void DecodeBody(core::LogWriteData& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  r.SkipTo(24);
-  m.writes = GetWrites(r);
-  m.client_versions = GetVersions(r);
-}
-
-void EncodeBody(const core::LogDecision& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.U8(m.commit);
-  w.PadTo(24);
-}
-void DecodeBody(core::LogDecision& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.commit = r.U8() != 0;
-  r.SkipTo(24);
-}
-
-void EncodeBody(const core::LogPrepareResult& m, Writer& w) {
-  // 48 + keys + keys + versions
-  PutTxnId(w, m.tid);
-  w.I32(m.coordinator);
-  w.U64(m.term);
-  w.U8(m.prepared);
-  w.PadTo(48);
-  PutKeys(w, m.read_keys);
-  PutKeys(w, m.write_keys);
-  PutVersions(w, m.read_versions);
-}
-void DecodeBody(core::LogPrepareResult& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.coordinator = r.I32();
-  m.term = r.U64();
-  m.prepared = r.U8() != 0;
-  r.SkipTo(48);
-  m.read_keys = GetKeys(r);
-  m.write_keys = GetKeys(r);
-  m.read_versions = GetVersions(r);
-}
-
-void EncodeBody(const core::LogCommit& m, Writer& w) {  // 32 + writes
-  PutTxnId(w, m.tid);
-  w.I32(m.coordinator);
-  w.U8(m.commit);
-  w.PadTo(32);
-  PutWrites(w, m.writes);
-}
-void DecodeBody(core::LogCommit& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.coordinator = r.I32();
-  m.commit = r.U8() != 0;
-  r.SkipTo(32);
-  m.writes = GetWrites(r);
-}
-
-void EncodeBody(const raft::NoopPayload&, Writer& w) { w.PadTo(8); }
-void DecodeBody(raft::NoopPayload&, Reader& r) { r.SkipTo(8); }
-
-// ---------------------------------------------------------------------------
-// Raft RPCs
-// ---------------------------------------------------------------------------
-
-void EncodeBody(const raft::RequestVoteMsg& m, Writer& w) {  // 40
-  w.I32(m.group);
-  w.U64(m.term);
-  w.I32(m.candidate);
-  w.U64(m.last_log_index);
-  w.U64(m.last_log_term);
-  w.PadTo(40);
-}
-void DecodeBody(raft::RequestVoteMsg& m, Reader& r) {
-  m.group = r.I32();
-  m.term = r.U64();
-  m.candidate = r.I32();
-  m.last_log_index = r.U64();
-  m.last_log_term = r.U64();
-  r.SkipTo(40);
-}
-
-// PendingTxnWireSize charges 24 + per-write-key (4 + klen) + per-read-key
-// (4 + klen + 8). Header (24): tid + i32 coordinator + u32 term +
-// u16 read count + u16 write count. Versions ride as one u64 per read
-// key, in read_keys order — per read *key*, not per read_versions entry,
-// because the map dedupes duplicate keys.
-void PutPendingTxn(Writer& w, const kv::PendingTxn& t) {
-  PutTxnId(w, t.tid);
-  w.I32(t.coordinator);
-  w.U32(static_cast<uint32_t>(t.term));
-  w.U16(static_cast<uint16_t>(t.read_keys.size()));
-  w.U16(static_cast<uint16_t>(t.write_keys.size()));
-  for (const Key& k : t.read_keys) {
-    w.U32(static_cast<uint32_t>(k.size()));
-    w.Raw(k);
-  }
-  for (const Key& k : t.write_keys) {
-    w.U32(static_cast<uint32_t>(k.size()));
-    w.Raw(k);
-  }
-  for (const Key& k : t.read_keys) {
-    auto it = t.read_versions.find(k);
-    w.U64(it == t.read_versions.end() ? 0 : it->second);
-  }
-}
-kv::PendingTxn GetPendingTxn(Reader& r) {
-  kv::PendingTxn t;
-  t.tid = GetTxnId(r);
-  t.coordinator = r.I32();
-  t.term = r.U32();
-  const uint16_t reads = r.U16();
-  const uint16_t writes = r.U16();
-  for (uint16_t i = 0; i < reads && r.ok(); ++i) {
-    t.read_keys.push_back(r.Raw(r.U32()));
-  }
-  for (uint16_t i = 0; i < writes && r.ok(); ++i) {
-    t.write_keys.push_back(r.Raw(r.U32()));
-  }
-  for (const Key& k : t.read_keys) t.read_versions[k] = r.U64();
-  return t;
-}
-
-void EncodeBody(const raft::VoteResponseMsg& m, Writer& w) {  // 24 + pending
-  w.I32(m.group);
-  w.U64(m.term);
-  w.I32(m.voter);
-  w.U8(m.granted);
-  w.U32(static_cast<uint32_t>(m.pending_list.size()));
-  w.PadTo(24);
-  for (const auto& txn : m.pending_list) PutPendingTxn(w, txn);
-}
-void DecodeBody(raft::VoteResponseMsg& m, Reader& r) {
-  m.group = r.I32();
-  m.term = r.U64();
-  m.voter = r.I32();
-  m.granted = r.U8() != 0;
-  const uint32_t n = r.U32();
-  r.SkipTo(24);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    m.pending_list.push_back(GetPendingTxn(r));
-  }
-}
-
-void EncodeBody(const raft::AppendEntriesMsg& m, Writer& w) {
-  // 48 + per entry (16 + payload).
-  w.I32(m.group);
-  w.U64(m.term);
-  w.I32(m.leader);
-  w.U64(m.prev_log_index);
-  w.U64(m.prev_log_term);
-  w.U64(m.leader_commit);
-  w.U32(static_cast<uint32_t>(m.entries.size()));
-  w.PadTo(48);
-  for (const auto& e : m.entries) {
-    w.U64(e.term);
-    if (e.payload == nullptr) {
-      w.U32(0);
-      w.U32(0);
-      continue;
-    }
-    std::vector<uint8_t> payload = EncodeInternal(*e.payload);
-    w.U32(static_cast<uint32_t>(e.payload->type()));
-    w.U32(static_cast<uint32_t>(payload.size()));
-    w.Raw(std::string(payload.begin(), payload.end()));
-  }
-}
-void DecodeBody(raft::AppendEntriesMsg& m, Reader& r) {
-  m.group = r.I32();
-  m.term = r.U64();
-  m.leader = r.I32();
-  m.prev_log_index = r.U64();
-  m.prev_log_term = r.U64();
-  m.leader_commit = r.U64();
-  const uint32_t n = r.U32();
-  r.SkipTo(48);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    raft::LogEntry e;
-    e.term = r.U64();
-    const uint32_t type = r.U32();
-    const uint32_t len = r.U32();
-    if (r.remaining() < len) {
-      r.Advance(r.remaining() + 1);  // Latch the underflow.
-      return;
-    }
-    if (type != 0) {
-      e.payload = DecodeInternal(static_cast<int>(type), r.cursor(), len);
-      if (e.payload == nullptr) {
-        r.Advance(r.remaining() + 1);
-        return;
+  void Bytes(std::string& s, size_t n) { s = r_.Str(n); }
+  /// Every element takes at least one byte, so a count beyond the bytes
+  /// left is malformed; nothing is sized from the count itself.
+  template <class C, class Fn>
+  void Each(C& items, size_t n, Fn&& fn) {
+    if (n > r_.remaining()) r_.Fail();
+    for (size_t i = 0; i < n && r_.ok(); ++i) {
+      if constexpr (requires { typename C::mapped_type; }) {
+        std::pair<typename C::key_type, typename C::mapped_type> e;
+        fn(e);
+        items.insert_or_assign(std::move(e.first), std::move(e.second));
+      } else {
+        fn(items.emplace_back());
       }
     }
-    r.Advance(len);
-    m.entries.push_back(std::move(e));
   }
-}
-
-void EncodeBody(const raft::AppendResponseMsg& m, Writer& w) {  // 32
-  w.I32(m.group);
-  w.U64(m.term);
-  w.I32(m.follower);
-  w.U8(m.success);
-  w.U64(m.match_index);
-  w.PadTo(32);
-  // wan_spans: accounting metadata, zero wire bytes, not serialized.
-}
-void DecodeBody(raft::AppendResponseMsg& m, Reader& r) {
-  m.group = r.I32();
-  m.term = r.U64();
-  m.follower = r.I32();
-  m.success = r.U8() != 0;
-  m.match_index = r.U64();
-  r.SkipTo(32);
-}
-
-// ---------------------------------------------------------------------------
-// TAPIR
-// ---------------------------------------------------------------------------
-
-void EncodeBody(const tapir::TapirReadMsg& m, Writer& w) {  // 32 + keys
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.client);
-  w.PadTo(32);
-  PutKeys(w, m.keys);
-}
-void DecodeBody(tapir::TapirReadMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.client = r.I32();
-  r.SkipTo(32);
-  m.keys = GetKeys(r);
-}
-
-void EncodeBody(const tapir::TapirReadReplyMsg& m, Writer& w) {  // 24 + reads
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.PadTo(24);
-  PutReads(w, m.reads);
-}
-void DecodeBody(tapir::TapirReadReplyMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  r.SkipTo(24);
-  m.reads = GetReads(r);
-}
-
-void EncodeBody(const tapir::TapirPrepareMsg& m, Writer& w) {
-  // 40 + versions + writes
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.client);
-  w.U64(m.timestamp);
-  w.PadTo(40);
-  PutVersions(w, m.read_versions);
-  PutWrites(w, m.writes);
-}
-void DecodeBody(tapir::TapirPrepareMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.client = r.I32();
-  m.timestamp = r.U64();
-  r.SkipTo(40);
-  m.read_versions = GetVersions(r);
-  m.writes = GetWrites(r);
-}
-
-void EncodeBody(const tapir::TapirPrepareReplyMsg& m, Writer& w) {  // 28
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.replica);
-  w.U8(static_cast<uint8_t>(m.vote));
-  w.PadTo(28);
-}
-void DecodeBody(tapir::TapirPrepareReplyMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.replica = r.I32();
-  m.vote = static_cast<tapir::Vote>(r.U8());
-  r.SkipTo(28);
-}
-
-void EncodeBody(const tapir::TapirFinalizeMsg& m, Writer& w) {  // 28
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.U8(static_cast<uint8_t>(m.vote));
-  w.PadTo(28);
-}
-void DecodeBody(tapir::TapirFinalizeMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.vote = static_cast<tapir::Vote>(r.U8());
-  r.SkipTo(28);
-}
-
-void EncodeBody(const tapir::TapirFinalizeReplyMsg& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.replica);
-  w.PadTo(24);
-}
-void DecodeBody(tapir::TapirFinalizeReplyMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.replica = r.I32();
-  r.SkipTo(24);
-}
-
-void EncodeBody(const tapir::TapirDecideMsg& m, Writer& w) {  // 32 + writes
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.U64(m.timestamp);
-  w.U8(m.commit);
-  w.PadTo(32);
-  PutWrites(w, m.writes);
-}
-void DecodeBody(tapir::TapirDecideMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.timestamp = r.U64();
-  m.commit = r.U8() != 0;
-  r.SkipTo(32);
-  m.writes = GetWrites(r);
-}
-
-void EncodeBody(const tapir::TapirDecideAckMsg& m, Writer& w) {  // 24
-  PutTxnId(w, m.tid);
-  w.I32(m.partition);
-  w.I32(m.replica);
-  w.PadTo(24);
-}
-void DecodeBody(tapir::TapirDecideAckMsg& m, Reader& r) {
-  m.tid = GetTxnId(r);
-  m.partition = r.I32();
-  m.replica = r.I32();
-  r.SkipTo(24);
-}
-
-// ---------------------------------------------------------------------------
-// Batch envelope
-// ---------------------------------------------------------------------------
-
-void EncodeBody(const sim::BatchEnvelopeMsg& m, Writer& w) {
-  // 8 + per item (kPerItemFramingBytes + payload).
-  w.U32(static_cast<uint32_t>(m.items.size()));
-  w.PadTo(8);
-  for (const auto& item : m.items) {
-    std::vector<uint8_t> payload = EncodeInternal(*item);
-    w.U32(static_cast<uint32_t>(item->type()));
-    w.U32(static_cast<uint32_t>(payload.size()));
-    w.Raw(std::string(payload.begin(), payload.end()));
-  }
-}
-void DecodeBody(sim::BatchEnvelopeMsg& m, Reader& r) {
-  const uint32_t n = r.U32();
-  r.SkipTo(8);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const uint32_t type = r.U32();
-    const uint32_t len = r.U32();
-    if (r.remaining() < len) {
-      r.Advance(r.remaining() + 1);
-      return;
+  void Payload(sim::MessagePtr& payload) {
+    const uint32_t type = r_.U32();
+    const uint32_t len = r_.U32();
+    if (len > r_.remaining()) r_.Fail();
+    if (!r_.ok()) return;
+    if (type != 0) {
+      payload = DecodeFrom(static_cast<int>(type), r_.cursor(), len);
+      if (payload == nullptr) r_.Fail();
     }
-    sim::MessagePtr item =
-        DecodeInternal(static_cast<int>(type), r.cursor(), len);
-    if (item == nullptr) {
-      r.Advance(r.remaining() + 1);
-      return;
-    }
-    r.Advance(len);
-    m.items.push_back(std::move(item));
+    r_.Skip(len);
   }
-}
+  void EndHeader() { r_.SkipTo(header_bytes_); }
+
+  /// Whole input consumed, nothing truncated.
+  bool complete() const { return r_.ok() && r_.remaining() == 0; }
+
+ private:
+  ByteReader r_;
+  size_t header_bytes_;
+};
 
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-template <typename T>
-Entry MakeEntry() {
-  return Entry{
-      [](const sim::Message& m, Writer& w) { EncodeBody(sim::As<T>(m), w); },
-      [](Reader& r) -> std::shared_ptr<sim::Message> {
-        auto msg = runtime::MakeMessage<T>();
-        DecodeBody(*msg, r);
-        if (!r.ok()) return nullptr;
-        return msg;
-      }};
+struct Entry {
+  void (*encode)(const sim::Message&, std::vector<uint8_t>*) = nullptr;
+  sim::MessagePtr (*decode)(const uint8_t*, size_t) = nullptr;
+};
+
+/// Flattened: the field list inlines into one straight-line routine per
+/// type, as a hand-written codec would be.
+template <class T>
+[[gnu::flatten]] void EncodeAs(const sim::Message& msg,
+                               std::vector<uint8_t>* out) {
+  FieldWriter w(out, T::kHeaderBytes);
+  sim::As<T>(msg).VisitFields(w);
 }
 
-const std::map<int, Entry>& Registry() {
-  static const std::map<int, Entry> registry = [] {
-    std::map<int, Entry> r;
-    r[sim::kBatchEnvelope] = MakeEntry<sim::BatchEnvelopeMsg>();
+template <class T>
+[[gnu::flatten]] sim::MessagePtr DecodeAs(const uint8_t* data,
+                                          size_t len) {
+  auto msg = runtime::MakeMessage<T>();
+  FieldReader r(data, len, T::kHeaderBytes);
+  msg->Fields(r);
+  if (!r.complete()) return nullptr;
+  return msg;
+}
 
-    r[sim::kRaftRequestVote] = MakeEntry<raft::RequestVoteMsg>();
-    r[sim::kRaftVoteResponse] = MakeEntry<raft::VoteResponseMsg>();
-    r[sim::kRaftAppendEntries] = MakeEntry<raft::AppendEntriesMsg>();
-    r[sim::kRaftAppendResponse] = MakeEntry<raft::AppendResponseMsg>();
-
-    r[sim::kCarouselReadPrepare] = MakeEntry<core::ReadPrepareMsg>();
-    r[sim::kCarouselReadResponse] = MakeEntry<core::ReadResponseMsg>();
-    r[sim::kCarouselPrepareDecision] = MakeEntry<core::PrepareDecisionMsg>();
-    r[sim::kCarouselCoordPrepare] = MakeEntry<core::CoordPrepareMsg>();
-    r[sim::kCarouselCommitRequest] = MakeEntry<core::CommitRequestMsg>();
-    r[sim::kCarouselAbortRequest] = MakeEntry<core::AbortRequestMsg>();
-    r[sim::kCarouselCommitResponse] = MakeEntry<core::CommitResponseMsg>();
-    r[sim::kCarouselWriteback] = MakeEntry<core::WritebackMsg>();
-    r[sim::kCarouselWritebackAck] = MakeEntry<core::WritebackAckMsg>();
-    r[sim::kCarouselHeartbeat] = MakeEntry<core::HeartbeatMsg>();
-    r[sim::kCarouselQueryPrepare] = MakeEntry<core::QueryPrepareMsg>();
-    r[sim::kCarouselNotLeader] = MakeEntry<core::NotLeaderMsg>();
-    r[sim::kCarouselQueryDecision] = MakeEntry<core::QueryDecisionMsg>();
-
-    r[sim::kLogTxnInfo] = MakeEntry<core::LogTxnInfo>();
-    r[sim::kLogWriteData] = MakeEntry<core::LogWriteData>();
-    r[sim::kLogDecision] = MakeEntry<core::LogDecision>();
-    r[sim::kLogPrepareResult] = MakeEntry<core::LogPrepareResult>();
-    r[sim::kLogCommit] = MakeEntry<core::LogCommit>();
-    r[sim::kLogNoop] = MakeEntry<raft::NoopPayload>();
-
-    r[sim::kTapirRead] = MakeEntry<tapir::TapirReadMsg>();
-    r[sim::kTapirReadReply] = MakeEntry<tapir::TapirReadReplyMsg>();
-    r[sim::kTapirPrepare] = MakeEntry<tapir::TapirPrepareMsg>();
-    r[sim::kTapirPrepareReply] = MakeEntry<tapir::TapirPrepareReplyMsg>();
-    r[sim::kTapirFinalize] = MakeEntry<tapir::TapirFinalizeMsg>();
-    r[sim::kTapirFinalizeReply] = MakeEntry<tapir::TapirFinalizeReplyMsg>();
-    r[sim::kTapirDecide] = MakeEntry<tapir::TapirDecideMsg>();
-    r[sim::kTapirDecideAck] = MakeEntry<tapir::TapirDecideAckMsg>();
-    return r;
-  }();
+/// Indexed by type tag: an array lookup per frame on the hot path.
+template <class... Ts>
+std::vector<Entry> MakeRegistry() {
+  std::vector<Entry> registry(std::max({Ts::kType...}) + 1);
+  ((registry[Ts::kType] = Entry{EncodeAs<Ts>, DecodeAs<Ts>}), ...);
   return registry;
 }
 
-/// Dense type-indexed view of Registry() for the per-frame hot path: an
-/// array index instead of a red-black tree walk per encode/decode. Types
-/// are small ints (sim/message.h tops out at kTapirDecideAck); unknown or
-/// out-of-range types return null.
+const std::vector<Entry>& Registry() {
+  static const std::vector<Entry> registry = MakeRegistry<
+      sim::BatchEnvelopeMsg,
+      raft::RequestVoteMsg,
+      raft::VoteResponseMsg,
+      raft::AppendEntriesMsg,
+      raft::AppendResponseMsg,
+      core::ReadPrepareMsg,
+      core::ReadResponseMsg,
+      core::PrepareDecisionMsg,
+      core::CoordPrepareMsg,
+      core::CommitRequestMsg,
+      core::AbortRequestMsg,
+      core::CommitResponseMsg,
+      core::WritebackMsg,
+      core::WritebackAckMsg,
+      core::HeartbeatMsg,
+      core::QueryPrepareMsg,
+      core::NotLeaderMsg,
+      core::QueryDecisionMsg,
+      core::LogTxnInfo,
+      core::LogWriteData,
+      core::LogDecision,
+      core::LogPrepareResult,
+      core::LogCommit,
+      raft::NoopPayload,
+      tapir::TapirReadMsg,
+      tapir::TapirReadReplyMsg,
+      tapir::TapirPrepareMsg,
+      tapir::TapirPrepareReplyMsg,
+      tapir::TapirFinalizeMsg,
+      tapir::TapirFinalizeReplyMsg,
+      tapir::TapirDecideMsg,
+      tapir::TapirDecideAckMsg>();
+  return registry;
+}
+
 const Entry* FindEntry(int type) {
-  static const std::vector<Entry> flat = [] {
-    size_t max_type = 0;
-    for (const auto& [t, e] : Registry()) {
-      max_type = std::max(max_type, static_cast<size_t>(t));
-    }
-    std::vector<Entry> v(max_type + 1, Entry{nullptr, nullptr});
-    for (const auto& [t, e] : Registry()) v[t] = e;
-    return v;
-  }();
-  if (type < 0 || static_cast<size_t>(type) >= flat.size() ||
-      flat[type].encode == nullptr) {
+  const std::vector<Entry>& registry = Registry();
+  if (type < 0 || static_cast<size_t>(type) >= registry.size() ||
+      registry[type].encode == nullptr) {
     return nullptr;
   }
-  return &flat[type];
+  return &registry[type];
 }
 
-std::vector<uint8_t> EncodeInternal(const sim::Message& msg) {
-  std::vector<uint8_t> out;
-  const Entry* e = FindEntry(msg.type());
-  if (e == nullptr) return out;
-  Writer w(&out);
-  e->encode(msg, w);
-  return out;
+/// Unregistered types append nothing: the receiver's decode rejects the
+/// empty payload.
+void EncodeInto(const sim::Message& msg, std::vector<uint8_t>* out) {
+  if (const Entry* e = FindEntry(msg.type())) e->encode(msg, out);
 }
 
-sim::MessagePtr DecodeInternal(int type, const uint8_t* data, size_t len) {
+sim::MessagePtr DecodeFrom(int type, const uint8_t* data, size_t len) {
   const Entry* e = FindEntry(type);
-  if (e == nullptr) return nullptr;
-  Reader r(data, len);
-  return e->decode(r);
+  return e == nullptr ? nullptr : e->decode(data, len);
 }
 
 }  // namespace
 
 std::vector<uint8_t> Encode(const sim::Message& msg) {
-  return EncodeInternal(msg);
+  std::vector<uint8_t> out;
+  EncodeInto(msg, &out);
+  return out;
 }
 
 sim::MessagePtr Decode(int type, const uint8_t* data, size_t len) {
-  return DecodeInternal(type, data, len);
+  return DecodeFrom(type, data, len);
 }
 
-bool Encodable(int type) { return Registry().count(type) > 0; }
+bool Encodable(int type) { return FindEntry(type) != nullptr; }
 
 std::vector<int> RegisteredTypes() {
   std::vector<int> types;
-  for (const auto& [type, entry] : Registry()) types.push_back(type);
+  for (size_t t = 0; t < Registry().size(); ++t) {
+    if (Registry()[t].encode != nullptr) types.push_back(static_cast<int>(t));
+  }
   return types;
 }
 
 runtime::WireCodec Codec() {
   runtime::WireCodec codec;
-  codec.encode = [](const sim::Message& msg) { return EncodeInternal(msg); };
+  codec.encode = Encode;
   // The transport's hot path: append into its pooled frame buffer so the
-  // encode allocates nothing once the pool is warm. Unregistered types
-  // append zero bytes — the receiver's decode rejects the frame, matching
-  // the plain-encode path's empty payload.
-  codec.encode_append = [](const sim::Message& msg,
-                           std::vector<uint8_t>* out) {
-    const Entry* e = FindEntry(msg.type());
-    if (e == nullptr) return;
-    Writer w(out);
-    e->encode(msg, w);
-  };
-  codec.decode = [](int type, const uint8_t* data, size_t len) {
-    return DecodeInternal(type, data, len);
-  };
+  // encode allocates nothing once the pool is warm.
+  codec.encode_append = EncodeInto;
+  codec.decode = DecodeFrom;
   return codec;
 }
 

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "carousel/messages.h"
+#include "golden.h"
 #include "kv/pending_list.h"
 #include "raft/messages.h"
 #include "wire/wire.h"
@@ -289,6 +292,85 @@ TEST(StorageTest, PendingDecoderRejectsMalformedBlobs) {
   std::vector<uint8_t> huge = good;
   huge[32] = 0xff;  // read_keys count, little-endian low byte.
   EXPECT_FALSE(kv::DecodePendingTxn(huge.data(), huge.size(), &out));
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// One populated payload of every Raft log payload type, in type order.
+std::vector<sim::MessagePtr> EveryLogPayloadType() {
+  auto info = std::make_shared<core::LogTxnInfo>();
+  info->tid = TxnId{2, 5};
+  info->client = 12;
+  info->fast_path = true;
+  info->keys = {{0, {{"alpha", "k2"}, {"w1"}}}, {2, {{}, {"beta"}}}};
+  auto data = std::make_shared<core::LogWriteData>();
+  data->tid = TxnId{2, 5};
+  data->writes = {{"alpha", "value-1"}, {"beta", ""}};
+  data->client_versions = {{"alpha", 5}, {"k2", 0}};
+  auto prepare = std::make_shared<core::LogPrepareResult>();
+  prepare->tid = TxnId{2, 6};
+  prepare->coordinator = 4;
+  prepare->prepared = true;
+  prepare->read_keys = {"alpha", ""};
+  prepare->write_keys = {"w1"};
+  prepare->read_versions = {{"alpha", 9}};
+  prepare->term = 3;
+  auto commit = std::make_shared<core::LogCommit>();
+  commit->tid = TxnId{2, 6};
+  commit->coordinator = 4;
+  commit->commit = true;
+  commit->writes = {{"w1", "x"}};
+  return {info, data, DecisionPayload(7, true), prepare, commit, NoopPayload()};
+}
+
+/// Byte-exact behaviour of the durable format: a fixed sequence of every
+/// record kind (fsync off) must leave exactly the WAL pinned in
+/// tests/corpus/wal_golden.txt, and Compact() exactly the pinned snapshot.
+TEST(StorageTest, WalAndSnapshotBytesMatchTheGoldenCorpus) {
+  const auto golden = test::LoadGolden("wal_golden.txt");
+  const std::string dir = FreshDir("golden");
+  WalStorage storage(dir, wire::Codec(), NoFsync());
+  storage.PersistHardState(3, 7);
+  storage.PersistCommitIndex(0);
+  uint64_t index = 0;
+  for (const sim::MessagePtr& payload : EveryLogPayloadType()) {
+    storage.PersistLogEntry(++index, 3, payload);
+  }
+  storage.PersistLogEntry(++index, 3, nullptr);
+  storage.PersistCommitIndex(4);
+  const kv::PendingTxn kept = SamplePin(1);
+  storage.PersistPendingAdd(kept.tid.ToString(), kv::EncodePendingTxn(kept));
+  storage.PersistPendingAdd("erased", kv::EncodePendingTxn(SamplePin(2)));
+  storage.PersistPendingErase("erased");
+
+  const auto expect_golden = [&](const std::string& key,
+                                  const std::string& file) {
+    const std::string hex = test::Hex(FileBytes(dir + "/" + file));
+    ASSERT_EQ(golden.count(key), 1u) << "no golden entry: " << key << " " << hex;
+    EXPECT_EQ(hex, golden.at(key)) << key << " changed";
+  };
+  expect_golden("wal.log", "wal.log");
+  storage.Compact();
+  expect_golden("snapshot.bin", "snapshot.bin");
+  expect_golden("compacted-wal.log", "wal.log");
+
+  // The pinned files load back to the state that wrote them.
+  WalStorage reopened(dir, wire::Codec(), NoFsync());
+  DurableNodeState state;
+  ASSERT_TRUE(reopened.Load(&state));
+  EXPECT_EQ(state.term, 3u);
+  EXPECT_EQ(state.commit_index, 4u);
+  ASSERT_EQ(state.log.size(), index);
+  const auto payloads = EveryLogPayloadType();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    ExpectSamePayload(state.log[i].payload, payloads[i]);
+  }
+  EXPECT_EQ(state.log.back().payload, nullptr);
+  ASSERT_EQ(state.pending.size(), 1u);
+  EXPECT_EQ(state.pending.at(kept.tid.ToString()), kv::EncodePendingTxn(kept));
 }
 
 TEST(StorageTest, CommitIndexIsClampedToTheRecoveredLog) {

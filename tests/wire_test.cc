@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "carousel/messages.h"
+#include "golden.h"
 #include "raft/messages.h"
 #include "sim/message.h"
 #include "tapir/messages.h"
@@ -359,6 +360,36 @@ TEST(WireTest, EveryRegisteredTypeRoundTripsAtItsAccountedSize) {
   }
 }
 
+/// Byte-exact behaviour: both samples of every registered type encode to
+/// the bytes pinned in tests/corpus/wire_golden.txt, and the pinned bytes
+/// decode to a message that re-encodes to them. Unlike the round trip
+/// above, this rejects any layout change, even one encoder and decoder
+/// agree on.
+TEST(WireTest, EncodingsMatchTheGoldenCorpus) {
+  const auto golden = test::LoadGolden("wire_golden.txt");
+  size_t checked = 0;
+  for (int type : wire::RegisteredTypes()) {
+    const auto samples = Samples(type);
+    for (size_t i = 0; i < samples.size(); ++i, ++checked) {
+      const std::string key = std::to_string(type) + "/" + std::to_string(i);
+      const std::string hex = test::Hex(wire::Encode(*samples[i]));
+      const auto it = golden.find(key);
+      if (it == golden.end()) {
+        ADD_FAILURE() << "no golden entry: " << key << " " << hex;
+        continue;
+      }
+      EXPECT_EQ(hex, it->second) << "encoding of " << key << " changed";
+
+      const std::vector<uint8_t> pinned = test::Unhex(it->second);
+      sim::MessagePtr decoded = wire::Decode(type, pinned.data(), pinned.size());
+      ASSERT_NE(decoded, nullptr) << "golden " << key << " no longer decodes";
+      EXPECT_EQ(test::Hex(wire::Encode(*decoded)), it->second)
+          << "golden " << key << " decodes to different fields";
+    }
+  }
+  EXPECT_EQ(golden.size(), checked) << "stale entries in wire_golden.txt";
+}
+
 TEST(WireTest, FieldFidelitySpotChecks) {
   {  // Rich flat message.
     auto samples = Samples(sim::kCarouselReadPrepare);
@@ -439,6 +470,15 @@ TEST(WireTest, TruncatedInputDecodesToNull) {
           << "type " << type << " accepted a " << cut << "-byte prefix of "
           << bytes.size();
     }
+  }
+}
+
+TEST(WireTest, TrailingBytesAreRejected) {
+  for (int type : wire::RegisteredTypes()) {
+    std::vector<uint8_t> bytes = wire::Encode(*Samples(type)[1]);
+    bytes.push_back(0);
+    EXPECT_EQ(wire::Decode(type, bytes.data(), bytes.size()), nullptr)
+        << "type " << type << " accepted a trailing byte";
   }
 }
 
