@@ -129,10 +129,7 @@ leg1() {
   build_main
   ctest --test-dir build --output-on-failure -j "$JOBS" -L tier1
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCAROUSEL_WERROR=ON
-  cmake --build build-release -j "$JOBS" --target \
-      carousel_common carousel_runtime carousel_sim carousel_obs carousel_kv \
-      carousel_raft carousel_check carousel_chaos_lib carousel_core \
-      carousel_tapir carousel_wire carousel_harness carousel_workload
+  cmake --build build-release -j "$JOBS" --target carousel_src_libs
 }
 
 leg2() {

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -34,10 +36,11 @@ namespace carousel {
 ///    (u16 klen, u16 vlen, u64 version, key, value);
 ///  - a struct with its own Fields(): that list, with no header;
 ///  - a message pointer (nested payload): u32 type + u32 length + the
-///    payload's own encoding; a null pointer is type 0, length 0.
+///    payload's own encoding. It must be present: a decoder rejects
+///    type 0, the encoding of a null pointer, unless the field is Nullable.
 /// Named kinds for the irregular shapes, below: Counted (a count that
 /// lives in the fixed header), Narrow (a field stored narrower than its
-/// C++ type) and VersionsPerKey.
+/// C++ type), VersionsPerKey and Nullable.
 
 /// Which pass a visitor implements (kinds that must read or assign a
 /// field only on one pass test it).
@@ -74,6 +77,14 @@ struct VersionsPerKey {
   ReadVersionMap& versions;
 };
 
+/// A nested payload that may be absent (type 0, length 0 on the wire).
+template <class P>
+struct Nullable {
+  P& payload;
+};
+template <class P>
+Nullable(P&) -> Nullable<P>;
+
 /// The wire width of a container's count.
 template <class C>
 uint32_t WireCount(const C& c) {
@@ -90,6 +101,10 @@ struct IsNarrow : std::false_type {};
 template <class W, class T>
 struct IsNarrow<NarrowField<W, T>> : std::true_type {};
 template <class T>
+struct IsNullable : std::false_type {};
+template <class P>
+struct IsNullable<Nullable<P>> : std::true_type {};
+template <class T>
 struct IsPair : std::false_type {};
 template <class A, class B>
 struct IsPair<std::pair<A, B>> : std::true_type {};
@@ -99,7 +114,7 @@ struct IsPair<std::pair<A, B>> : std::true_type {};
 ///   Scalar(x)          one bool / enum / integer;
 ///   Bytes(s, n)        n raw bytes of string s;
 ///   Each(c, n, fn)     fn on every element (a decoder builds n of them);
-///   Payload(p)         a nested message;
+///   Payload(p, null)   a nested message; `null`: it may be absent;
 ///   EndHeader()        pad / skip / count to the header budget;
 /// and `static constexpr FieldPass kPass`.
 template <class V>
@@ -151,6 +166,8 @@ class FieldVisitor {
         v.Scalar(version);
         if constexpr (V::kPass == FieldPass::kDecode) x.versions[k] = version;
       }
+    } else if constexpr (fields_internal::IsNullable<U>::value) {
+      v.Payload(x.payload, true);
     } else if constexpr (requires { x.Fields(v); }) {
       x.Fields(v);
     } else if constexpr (fields_internal::IsPair<U>::value) {
@@ -160,7 +177,7 @@ class FieldVisitor {
       v.Scalar(n);
       v.Each(x, n, [this](auto& e) { Visit(e); });
     } else {
-      v.Payload(x);
+      v.Payload(x, false);
     }
   }
 
@@ -187,6 +204,19 @@ class FieldVisitor {
   }
 };
 
+/// A header wider than its budget would be cut short by the padding and
+/// still match SizeBytes(), so it aborts in every build mode (an assert
+/// would compile out under NDEBUG). The sizing pass runs on every message
+/// sent, so a new field over budget fails its first test.
+inline void CheckHeaderBudget(size_t header_bytes, size_t budget) {
+  if (header_bytes <= budget) return;
+  std::fprintf(stderr,
+               "carousel: wire header of %zu bytes exceeds its %zu-byte "
+               "budget; aborting\n",
+               header_bytes, budget);
+  std::abort();
+}
+
 /// The sizing pass: SizeBytes() of every field-list message. The header
 /// counts as its whole budget; a nested payload as its framing plus its
 /// memoized WireSize(), so a log payload carried by every AppendEntries
@@ -206,10 +236,13 @@ class FieldSizer : public FieldVisitor<FieldSizer> {
     for (auto& e : items) fn(e);
   }
   template <class P>
-  void Payload(const P& payload) {
+  void Payload(const P& payload, bool) {
     bytes_ += 8 + (payload ? payload->WireSize() : 0);
   }
-  void EndHeader() { bytes_ = header_bytes_; }
+  void EndHeader() {
+    CheckHeaderBudget(bytes_, header_bytes_);
+    bytes_ = header_bytes_;
+  }
 
   size_t bytes() const { return bytes_; }
 

@@ -10,14 +10,15 @@
 namespace carousel::raft {
 
 /// One replicated log slot: the leader's term when appended plus an opaque
-/// payload (a sim::Message subclass defined by the layer above Raft).
+/// payload (a sim::Message subclass defined by the layer above Raft, or
+/// none).
 struct LogEntry {
   uint64_t term = 0;
   sim::MessagePtr payload;
 
   template <class F>
   void Fields(F& f) {
-    f(term, payload);
+    f(term, Nullable{payload});
   }
 };
 

@@ -1,7 +1,6 @@
 #include "wire/wire.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -47,7 +46,7 @@ class FieldWriter : public FieldVisitor<FieldWriter> {
     for (auto& e : items) fn(e);
   }
   /// Type, then a length patched in once the payload is encoded in place.
-  void Payload(const sim::MessagePtr& payload) {
+  void Payload(const sim::MessagePtr& payload, bool) {
     w_.U32(payload == nullptr ? 0 : static_cast<uint32_t>(payload->type()));
     const size_t at = w_.written();
     w_.U32(0);
@@ -56,7 +55,7 @@ class FieldWriter : public FieldVisitor<FieldWriter> {
     w_.PatchU32(at, static_cast<uint32_t>(w_.written() - at - 4));
   }
   void EndHeader() {
-    assert(w_.written() <= header_bytes_);
+    CheckHeaderBudget(w_.written(), header_bytes_);
     w_.PadTo(header_bytes_);
   }
 
@@ -103,12 +102,14 @@ class FieldReader : public FieldVisitor<FieldReader> {
       }
     }
   }
-  void Payload(sim::MessagePtr& payload) {
+  /// Type 0 is registered to nothing, so a payload that must be present
+  /// and is not fails like any undecodable one.
+  void Payload(sim::MessagePtr& payload, bool nullable) {
     const uint32_t type = r_.U32();
     const uint32_t len = r_.U32();
     if (len > r_.remaining()) r_.Fail();
     if (!r_.ok()) return;
-    if (type != 0) {
+    if (type != 0 || !nullable) {
       payload = DecodeFrom(static_cast<int>(type), r_.cursor(), len);
       if (payload == nullptr) r_.Fail();
     }

@@ -482,6 +482,31 @@ TEST(WireTest, TrailingBytesAreRejected) {
   }
 }
 
+// Only a log entry's payload may be absent: a batch item of type 0 would
+// reach the server's dispatch as a null message.
+TEST(WireTest, NullBatchItemIsRejected) {
+  const uint8_t frame[16] = {1};  // One item: type 0, length 0.
+  EXPECT_EQ(wire::Decode(sim::kBatchEnvelope, frame, sizeof(frame)), nullptr);
+}
+
+/// A header of two u64s against an 8-byte budget.
+struct OverBudgetProbe final
+    : sim::WireMessage<OverBudgetProbe, sim::kPong, 8> {
+  uint64_t a = 1;
+  uint64_t b = 2;
+  template <class F>
+  void Fields(F& f) {
+    f.Header(a, b);
+  }
+};
+
+// Padding would silently cut an over-budget header short, so sizing one
+// must fail hard in every build mode.
+TEST(WireDeathTest, HeaderOverBudgetAborts) {
+  EXPECT_DEATH(OverBudgetProbe{}.SizeBytes(),
+               "wire header of 16 bytes exceeds its 8-byte budget");
+}
+
 struct PingProbe final : sim::Message {
   int type() const override { return sim::kPing; }
   size_t SizeBytes() const override { return 100; }
@@ -512,6 +537,10 @@ void ExpectRejectedOrSelfConsistent(int type, const std::vector<uint8_t>& bytes,
   EXPECT_EQ(reencoded.size(), decoded->SizeBytes())
       << what << " decoded type " << type
       << " to a message that re-encodes at the wrong size";
+  // Receivers walk every nested message (a batch envelope's items): none
+  // may be null.
+  std::vector<sim::WanSpan> spans;
+  decoded->CollectSpans(&spans);
 }
 
 TEST(WireFuzzTest, MutatedEncodingsNeverCrashTheDecoders) {
